@@ -18,12 +18,10 @@ from typing import Optional
 from .engine import Engine
 from .envelope import (
     LieConformalSpec,
-    bracket,
+    bracket_conformal,
     enveloping_presentation,
     half_pbw_check,
     lie_algebra,
-    lie_conformal,
-    loop_conformal,
     validate_lie,
 )
 from .parsing import (
@@ -37,7 +35,7 @@ from .parsing import (
     parse_presentation,
 )
 from .rewrite import RewriteSystem, complete
-from .words import ConfPoly, single_word
+from .words import ConfPoly
 
 EX_OK = 0
 EX_NOT_BASIS = 2
@@ -49,9 +47,21 @@ class _DataError(Exception):
     """Invalid input content (maps to exit code 65)."""
 
 
+_OPERAND_NOTE = (
+    "An argument that starts with a single '-' and is not one of the options "
+    "above, such as the remainder -a that reduce prints, is read as an "
+    "operand; '--' also ends the options.")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string.split("=", 1)[0] not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _positive_int(text: str) -> int:
@@ -68,6 +78,7 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="confgsb",
         description="Rewriting calculator for multi-parameter conformal algebras.",
+        epilog=_OPERAND_NOTE,
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--trace", action="store_true",
@@ -80,55 +91,40 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_ArgumentParser)
 
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normal form of an expression")
-    p.add_argument("file")
+    def command(name, summary):
+        p = sub.add_parser(name, parents=[common], help=summary, epilog=_OPERAND_NOTE)
+        p.add_argument("file")
+        return p
+
+    p = command("normalize", "normal form of an expression")
     p.add_argument("expr")
 
-    p = sub.add_parser("mul", parents=[common],
-                       help="labelled product of two expressions")
-    p.add_argument("file")
+    p = command("mul", "labelled product of two expressions")
     p.add_argument("left")
     p.add_argument("label", help="product label, e.g. 1,0")
     p.add_argument("right")
 
-    p = sub.add_parser("reduce", parents=[common],
-                       help="remainder modulo the file's relations")
-    p.add_argument("file")
+    p = command("reduce", "remainder modulo the file's relations")
     p.add_argument("expr")
 
-    p = sub.add_parser("complete", parents=[common],
-                       help="saturate the relations into a rewriting basis")
-    p.add_argument("file")
+    p = command("complete", "saturate the relations into a rewriting basis")
     p.add_argument("--max-degree", type=_positive_int, default=None)
     p.add_argument("--max-elements", type=_positive_int, default=None)
     p.add_argument("--max-steps", type=_positive_int, default=None)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="test whether the relations form a rewriting basis")
-    p.add_argument("file")
+    command("check", "test whether the relations form a rewriting basis")
 
-    p = sub.add_parser("basis", parents=[common],
-                       help="irreducible words within bounds")
-    p.add_argument("file")
+    p = command("basis", "irreducible words within bounds")
     p.add_argument("--max-length", type=_positive_int, required=True)
     p.add_argument("--max-taild", default=None,
                    help="tail derivation bound: one integer or i1,...,in")
 
-    p = sub.add_parser("eq", parents=[common],
-                       help="equality of two expressions modulo the relations")
-    p.add_argument("file")
+    p = command("eq", "equality of two expressions modulo the relations")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("envelope", parents=[common],
-                       help="enveloping presentation of a Lie structure")
-    p.add_argument("file")
-
-    p = sub.add_parser("halfpbw", parents=[common],
-                       help="reduce the mixed compositions of a Lie envelope")
-    p.add_argument("file")
-
+    command("envelope", "enveloping presentation of a Lie structure")
+    command("halfpbw", "reduce the mixed compositions of a Lie envelope")
     return parser
 
 
@@ -144,13 +140,14 @@ def _load(path: str) -> Presentation:
     return parse_presentation(text)
 
 
+def _relations(pres: Presentation, engine: Engine) -> list[ConfPoly]:
+    """The file's relations, normalized, with those that vanish dropped."""
+    polys = (engine.normalize(comb) for _, comb in pres.relation_combs())
+    return [p for p in polys if not p.is_zero()]
+
+
 def _system(pres: Presentation, engine: Engine) -> RewriteSystem:
-    polys = []
-    for _, comb in pres.relation_combs():
-        p = engine.normalize(comb)
-        if not p.is_zero():
-            polys.append(p)
-    return RewriteSystem(engine, polys)
+    return RewriteSystem(engine, _relations(pres, engine))
 
 
 def _lie_spec(pres: Presentation) -> LieConformalSpec:
@@ -159,18 +156,7 @@ def _lie_spec(pres: Presentation) -> LieConformalSpec:
     g = lie_algebra(sig.generators, brackets)
     if not validate_lie(g):
         raise _DataError("bracket table fails antisymmetry or the Jacobi identity")
-    if all(b == 1 for b in sig.locality):
-        return loop_conformal(g, sig.n)
-    zero = sig.zero_exp()
-    table = {}
-    for i in range(len(sig.generators)):
-        for j in range(i):
-            value = ConfPoly.zero()
-            for k, c in sorted(bracket(g, i, j).items()):
-                value = value.add_scaled(ConfPoly.from_word(single_word(k, sig.n)), c)
-            if not value.is_zero():
-                table[(i, j, zero)] = value
-    return lie_conformal(sig, table)
+    return bracket_conformal(sig, g)
 
 
 def _parse_taild(text: Optional[str], n: int):
@@ -266,9 +252,8 @@ def _cmd_complete(args):
     pres = _load(args.file)
     sig = pres.signature
     engine = Engine(sig)
-    polys = [engine.normalize(comb) for _, comb in pres.relation_combs()]
-    polys = [p for p in polys if not p.is_zero()]
-    system, status = complete(engine, polys, max_degree=args.max_degree,
+    system, status = complete(engine, _relations(pres, engine),
+                              max_degree=args.max_degree,
                               max_elements=args.max_elements,
                               max_steps=args.max_steps)
     elements = [format_polynomial(sig, p) for p in system.elements]

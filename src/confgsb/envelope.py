@@ -264,20 +264,20 @@ def half_pbw_check(L: LieConformalSpec, engine: Engine | None = None) -> HalfPBW
 # -- loop algebras -------------------------------------------------------------------
 
 
+def bracket_conformal(sig: AlgebraSignature, g: LieAlgebraSpec) -> LieConformalSpec:
+    """Lie conformal structure over ``sig`` on the basis of ``g`` whose only
+    nonzero products are a_i|0| a_j = [a_i, a_j]."""
+    z = zero_index(sig.n)
+    table = {}
+    for i in range(len(g.basis)):
+        for j in range(i):
+            combo = sorted(bracket(g, i, j).items())
+            table[(i, j, z)] = ConfPoly({single_word(k, sig.n): c for k, c in combo})
+    return lie_conformal(sig, table)
+
+
 def loop_conformal(g: LieAlgebraSpec, n: int) -> LieConformalSpec:
     """Loop Lie conformal structure of an ordinary Lie algebra: locality
     (1, ..., 1) and table entry (i, j, 0) = the bracket [a_i, a_j]."""
     assert validate_lie(g), "bracket table fails antisymmetry or the Jacobi identity"
-    sig = AlgebraSignature(n, (1,) * n, g.basis)
-    z = zero_index(n)
-    table = {}
-    for i in range(len(g.basis)):
-        for j in range(i):
-            combo = bracket(g, i, j)
-            if combo:
-                value = ConfPoly.zero()
-                for k in sorted(combo):
-                    value = value.add_scaled(
-                        ConfPoly.from_word(single_word(k, n)), combo[k])
-                table[(i, j, z)] = value
-    return lie_conformal(sig, table)
+    return bracket_conformal(AlgebraSignature(n, (1,) * n, g.basis), g)

@@ -127,10 +127,12 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: AlgebraSignature):
+    def __init__(self, tokens: list[_Token], sig: AlgebraSignature,
+                 line: int, col: int):
         self.tokens = tokens
         self.sig = sig
         self.pos = 0
+        self.start = (line, col)  # where an empty input is reported
 
     # -- token plumbing --
 
@@ -158,7 +160,7 @@ class _Parser:
         if self.tokens:
             last = self.tokens[-1]
             raise ParseError(message, last.line, last.col + len(last.text))
-        raise ParseError(message)
+        raise ParseError(message, *self.start)
 
     def expect_end(self) -> None:
         tok = self._peek()
@@ -167,7 +169,10 @@ class _Parser:
 
     # -- grammar --
 
-    def parse_comb(self) -> LinComb:
+    def parse_comb(self, body=None) -> LinComb:
+        """A signed sum of terms ``[coefficient] body``, where ``body`` is a
+        grammar rule, a product by default."""
+        body = body or _Parser.parse_product
         out: LinComb = []
         sign = Fraction(1)
         tok = self._peek()
@@ -176,8 +181,9 @@ class _Parser:
             if tok.kind == "-":
                 sign = Fraction(-1)
         while True:
-            for coeff, tree in self.parse_term():
-                out.append((sign * coeff, tree))
+            coeff = sign * self.parse_coeff()
+            for c, tree in body(self):
+                out.append((coeff * c, tree))
             tok = self._peek()
             if tok is None or tok.kind not in ("+", "-"):
                 break
@@ -185,27 +191,32 @@ class _Parser:
             sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
         return out
 
-    def parse_term(self) -> LinComb:
-        coeff = Fraction(1)
+    def parse_coeff(self) -> Fraction:
+        """An optional ``int``, ``int/int`` or either followed by ``*``."""
         tok = self._peek()
-        if tok is not None and tok.kind == "int":
+        if tok is None or tok.kind != "int":
+            return Fraction(1)
+        self._take()
+        coeff = Fraction(int(tok.text))
+        nxt = self._peek()
+        if nxt is not None and nxt.kind == "/":
             self._take()
-            num = int(tok.text)
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "/":
-                self._take()
-                den_tok = self._expect("int")
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "*":
-                self._take()
-        product = self.parse_product()
-        return [(coeff * c, t) for c, t in product]
+            den_tok = self._expect("int")
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            coeff /= int(den_tok.text)
+        nxt = self._peek()
+        if nxt is not None and nxt.kind == "*":
+            self._take()
+        return coeff
+
+    def parse_generator(self) -> LinComb:
+        """A bare generator, without a derivation prefix or a product."""
+        tok = self._peek()
+        if tok is None or tok.kind != "name":
+            self._fail("expected a generator")
+        self._take()
+        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
 
     def parse_product(self) -> LinComb:
         left = self.parse_atom()
@@ -275,16 +286,21 @@ class _Parser:
         return self.sig.gen_index(tok.text)
 
 
-def parse_expression(sig: AlgebraSignature, text: str,
-                     line: int = 1, col: int = 1) -> LinComb:
-    """Parse a linear combination of labelled products over ``sig``."""
+def _parse_comb(sig: AlgebraSignature, text: str, line: int, col: int,
+                body=None) -> LinComb:
     tokens = _tokenize(text, line, col)
     if len(tokens) == 1 and tokens[0].kind == "int" and tokens[0].text == "0":
         return []  # the zero polynomial prints as "0"
-    parser = _Parser(tokens, sig)
-    comb = parser.parse_comb()
+    parser = _Parser(tokens, sig, line, col)
+    comb = parser.parse_comb(body)
     parser.expect_end()
     return comb
+
+
+def parse_expression(sig: AlgebraSignature, text: str,
+                     line: int = 1, col: int = 1) -> LinComb:
+    """Parse a linear combination of labelled products over ``sig``."""
+    return _parse_comb(sig, text, line, col)
 
 
 def parse_index(text: str, n: int) -> MultiIndex:
@@ -450,56 +466,9 @@ def _resolve_gen(sig: AlgebraSignature, text: str, line: int) -> int:
 
 def _parse_gen_combo(sig: AlgebraSignature, text: str, line: int,
                      col: int) -> tuple[tuple[int, Fraction], ...]:
-    tokens = _tokenize(text, line, col)
-    if len(tokens) == 1 and tokens[0].kind == "int" and tokens[0].text == "0":
-        return ()
-    out: list[tuple[int, Fraction]] = []
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    sign = Fraction(1)
-    tok = peek()
-    if tok is not None and tok.kind in ("+", "-"):
-        pos += 1
-        if tok.kind == "-":
-            sign = Fraction(-1)
-    while True:
-        coeff = Fraction(1)
-        tok = peek()
-        if tok is not None and tok.kind == "int":
-            pos += 1
-            num = int(tok.text)
-            tok = peek()
-            if tok is not None and tok.kind == "/":
-                pos += 1
-                tok = peek()
-                if tok is None or tok.kind != "int" or int(tok.text) == 0:
-                    raise ParseError("malformed rational coefficient", line, col)
-                num_den = int(tok.text)
-                pos += 1
-                coeff = Fraction(num, num_den)
-            else:
-                coeff = Fraction(num)
-            tok = peek()
-            if tok is not None and tok.kind == "*":
-                pos += 1
-        tok = peek()
-        if tok is None or tok.kind != "name":
-            raise ParseError("expected a generator in bracket value",
-                             line, tok.col if tok else col)
-        pos += 1
-        out.append((_resolve_gen(sig, tok.text, line), sign * coeff))
-        tok = peek()
-        if tok is None:
-            break
-        if tok.kind not in ("+", "-"):
-            raise ParseError(f"unexpected {tok.text!r} in bracket value",
-                             tok.line, tok.col)
-        pos += 1
-        sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
-    return tuple(out)
+    """A bracket value: the expression grammar with bare generators as terms."""
+    comb = _parse_comb(sig, text, line, col, _Parser.parse_generator)
+    return tuple((leaf.gen, c) for c, leaf in comb)
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -138,31 +138,44 @@ def _labels_match(w: NormalWord, lead: NormalWord, p: int) -> bool:
     return all(w.links[p + r][1] == lead.links[r][1] for r in range(lead.length - 1))
 
 
+@dataclass(frozen=True)
+class Rule:
+    """One monic relation of a rewriting system with its leading data."""
+
+    poly: ConfPoly
+    lead: NormalWord
+    lead_gens: tuple[int, ...]
+    dfree: bool
+
+
+def _rule(p: ConfPoly) -> Rule:
+    if p.is_zero():
+        raise ValueError("rewriting systems hold nonzero polynomials only")
+    p = p.monic()
+    lead = p.leading_word()
+    return Rule(p, lead, lead.gens(), p.is_dfree())
+
+
 class RewriteSystem:
-    """A sequence of monic nonzero relation polynomials plus cached leading data."""
+    """A sequence of monic nonzero relation polynomials, one Rule each."""
 
     def __init__(self, engine: Engine, elements=()):
         self.engine = engine
         self.sig = engine.sig
-        self.elements: list[ConfPoly] = []
-        self.leading: list[NormalWord] = []
-        self.dfree: list[bool] = []
-        self._lead_gens: list[tuple[int, ...]] = []
+        self.rules: list[Rule] = []
         for p in elements:
             self._append(p)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rules)
+
+    @property
+    def elements(self) -> list[ConfPoly]:
+        return [r.poly for r in self.rules]
 
     def _append(self, p: ConfPoly) -> int:
-        assert not p.is_zero(), "rewriting systems hold nonzero polynomials only"
-        p = p.monic()
-        self.elements.append(p)
-        lead = p.leading_word()
-        self.leading.append(lead)
-        self.dfree.append(p.is_dfree())
-        self._lead_gens.append(lead.gens())
-        return len(self.elements) - 1
+        self.rules.append(_rule(p))
+        return len(self.rules) - 1
 
     # -- occurrence matching ------------------------------------------------
 
@@ -171,13 +184,13 @@ class RewriteSystem:
         out = []
         wg = w.gens()
         nlinks = len(w.links)
-        for e in range(len(self.elements)):
+        for e, rule in enumerate(self.rules):
             if e in exclude:
                 continue
-            lead = self.leading[e]
-            lg = self._lead_gens[e]
+            lead = rule.lead
+            lg = rule.lead_gens
             L = lead.length
-            if self.dfree[e]:
+            if rule.dfree:
                 # interior matches: the element must be D-free end to end, and
                 # a link must follow the matched segment
                 for p in range(nlinks - L + 1):
@@ -198,15 +211,14 @@ class RewriteSystem:
         break the well-order descent of reduction, so it is asserted.
         """
         eng = self.engine
-        poly = self.elements[occ.elem]
+        rule = self.rules[occ.elem]
         if occ.second:
-            core = eng.derive_multi(occ.dshift, poly)
+            core = eng.derive_multi(occ.dshift, rule.poly)
         else:
-            lead = self.leading[occ.elem]
-            j = occ.pos + lead.length - 1
+            j = occ.pos + rule.lead.length - 1
             mprime = w.links[j][1]
             v = NormalWord(w.links[j + 1:], w.tail, w.taild)
-            core = eng.mul_poly(poly, mprime, ConfPoly.from_word(v))
+            core = eng.mul_poly(rule.poly, mprime, ConfPoly.from_word(v))
         for gen, m in reversed(w.links[:occ.pos]):
             core = eng.mul_prefix_poly(gen, m, core)
         lw, lc = core.leading_term()
@@ -248,12 +260,13 @@ class RewriteSystem:
 
     def overlap_tasks(self, i: int, j: int) -> list[CompositionTask]:
         """Inclusion, right-inclusion, and intersection tasks for the ordered pair."""
-        fi, gj = self.leading[i], self.leading[j]
-        fig, gjg = self._lead_gens[i], self._lead_gens[j]
+        ri, rj = self.rules[i], self.rules[j]
+        fi, gj = ri.lead, rj.lead
+        fig, gjg = ri.lead_gens, rj.lead_gens
         lf, lg = fi.length, gj.length
         tasks = []
         # the j-pattern strictly inside the i-leading word, a link following it
-        if self.dfree[j]:
+        if rj.dfree:
             for p in range(len(fi.links) - lg + 1):
                 if fig[p:p + lg] == gjg and _labels_match(fi, gj, p):
                     tasks.append(CompositionTask(INCLUSION, i, j, w=fi, pos=p))
@@ -267,7 +280,7 @@ class RewriteSystem:
             tasks.append(CompositionTask(RIGHT_INCLUSION, i, j, w=w, pos=p,
                                          alpha=alpha, beta=beta))
         # proper overlap of the i-suffix with the j-prefix
-        if self.dfree[i]:
+        if ri.dfree:
             for c in range(1, min(lf, lg)):
                 p = lf - c
                 if fig[p:] == gjg[:c] and all(
@@ -309,11 +322,11 @@ class RewriteSystem:
         """Left products a<m>f for invalid m, and right products f<m>a for
         non-D-free f, over the finite label box of the element."""
         sig = self.sig
-        p = self.elements[i]
-        bounds = self.multiplication_bounds(p)
+        rule = self.rules[i]
+        bounds = self.multiplication_bounds(rule.poly)
         if self.engine.check:
-            self._check_bound_boundary(p, bounds)
-        lead = self.leading[i]
+            self._check_bound_boundary(rule.poly, bounds)
+        lead = rule.lead
         tasks = []
         for m in iter_box(bounds):
             valid = sig.is_valid(m)
@@ -321,7 +334,7 @@ class RewriteSystem:
                 if not valid:
                     w = NormalWord(((g, m),) + lead.links, lead.tail, lead.taild)
                     tasks.append(CompositionTask(LEFT_MUL, i, g, w=w, m=m))
-                if not self.dfree[i]:
+                if not rule.dfree:
                     w = NormalWord(lead.links + ((lead.tail, m),), g, lead.taild)
                     tasks.append(CompositionTask(RIGHT_MUL, i, g, w=w, m=m))
         return tasks
@@ -345,16 +358,17 @@ class RewriteSystem:
         """
         eng = self.engine
         n = self.sig.n
+        poly = self.rules[task.i].poly
         if task.kind == LEFT_MUL:
-            return eng.mul_prefix_poly(task.j, task.m, self.elements[task.i])
+            return eng.mul_prefix_poly(task.j, task.m, poly)
         if task.kind == RIGHT_MUL:
             unit = ConfPoly.from_word(single_word(task.j, n))
-            return eng.mul_poly(self.elements[task.i], task.m, unit)
+            return eng.mul_poly(poly, task.m, unit)
         if task.kind == INCLUSION:
-            out = self.elements[task.i] - self.build_sword(
+            out = poly - self.build_sword(
                 task.w, Occurrence(task.j, task.pos, False))
         elif task.kind == RIGHT_INCLUSION:
-            lhs = eng.derive_multi(task.alpha, self.elements[task.i])
+            lhs = eng.derive_multi(task.alpha, poly)
             assert lhs.leading_term() == (task.w, 1), task
             rhs = self.build_sword(task.w, Occurrence(task.j, task.pos, True, task.beta))
             out = lhs - rhs
@@ -366,10 +380,6 @@ class RewriteSystem:
         assert out.is_zero() or compare_words(out.leading_word(), task.w) < 0, task
         return out
 
-    def is_trivial(self, task: CompositionTask) -> bool:
-        remainder, _ = self.reduce(self.eval_composition(task))
-        return remainder.is_zero()
-
     def check_gsb(self) -> GSBReport:
         """Reduce every composition; empty failures mean the system is a basis."""
         failures = []
@@ -377,29 +387,30 @@ class RewriteSystem:
             remainder, _ = self.reduce(self.eval_composition(task))
             if not remainder.is_zero():
                 failures.append((task, remainder))
-        return GSBReport(tuple(failures), has_non_dfree=not all(self.dfree))
+        return GSBReport(tuple(failures), has_non_dfree=not all(r.dfree for r in self.rules))
 
     # -- derived operations ----------------------------------------------------
 
     def interreduce(self) -> "RewriteSystem":
-        """Reduce each element against the others until nothing changes."""
-        elems = list(self.elements)
+        """A copy with each element reduced against the others until nothing
+        changes; every change restarts the sweep from the first element."""
+        out = RewriteSystem(self.engine)
+        rules = out.rules = list(self.rules)
         changed = True
         while changed:
             changed = False
-            for i in range(len(elems)):
-                others = RewriteSystem(self.engine, elems[:i] + elems[i + 1:])
-                r, _ = others.reduce(elems[i])
+            for i, rule in enumerate(rules):
+                r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
                 if r.is_zero():
-                    del elems[i]
+                    del rules[i]
                     changed = True
                     break
                 r = r.monic()
-                if r != elems[i]:
-                    elems[i] = r
+                if r != rule.poly:
+                    rules[i] = _rule(r)
                     changed = True
                     break
-        return RewriteSystem(self.engine, elems)
+        return out
 
     def irreducible_words(self, max_length: int, max_taild: MultiIndex | None = None) -> list[NormalWord]:
         """All normal words within the bounds with no occurrence, ascending."""
@@ -439,7 +450,8 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     for name, bound in (("max_degree", max_degree),
                         ("max_elements", max_elements),
                         ("max_steps", max_steps)):
-        assert bound is None or bound >= 1, f"{name} must be a positive integer"
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be a positive integer")
 
     system = RewriteSystem(engine, elements).interreduce()
     heap: list = []

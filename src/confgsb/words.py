@@ -243,10 +243,6 @@ class ConfPoly:
         return "ConfPoly(" + " + ".join(parts) + ")"
 
 
-def add_scaled(p: ConfPoly, q: ConfPoly, coeff: Fraction | int) -> ConfPoly:
-    return p.add_scaled(q, coeff)
-
-
 def compare_words(u: NormalWord, v: NormalWord) -> int:
     """Three-way comparison in the word well-order."""
     ku, kv = u.weight_key(), v.weight_key()

@@ -103,6 +103,27 @@ def test_complete_golden_prints_six_monic_relations(golden, capsys):
     assert lines[1:] == SIX_RELATIONS
 
 
+def test_printed_remainder_is_accepted_as_operand(completed, capsys):
+    # a remainder such as "-a" starts with '-' and has no space; it is an
+    # operand, not an unknown option, without a "--" before it
+    code, out, _ = run(capsys, "reduce", completed, "-a<0,0> a<0,0> a")
+    remainder = out.strip()
+    assert (code, remainder) == (0, "-a")
+    code, out, _ = run(capsys, "eq", completed, "a<0,0> a", remainder)
+    assert (code, out) == (0, "not equal\n")
+    code, out, _ = run(capsys, "eq", completed, remainder, "-a<0,0> a")
+    assert (code, out) == (0, "equal\n")
+    code, out, _ = run(capsys, "eq", completed, "--json", remainder, "-a")
+    assert code == 0 and json.loads(out)["result"]["equal"] is True
+
+
+def test_undefined_single_dash_operand_is_not_an_option(completed, capsys):
+    code, _, err = run(capsys, "reduce", completed, "a", "-q")
+    assert code == 64 and "unrecognized arguments: -q" in err
+    code, out, _ = run(capsys, "eq", "-h")
+    assert code == 0 and "is read as an operand" in " ".join(out.split())
+
+
 def test_eq_after_completion(completed, capsys):
     code, out, _ = run(capsys, "eq", completed, "a<0,0> a<0,0> a", "a")
     assert (code, out) == (0, "equal\n")

@@ -245,6 +245,35 @@ def test_presentation_bracket_value_zero_and_indices():
 
 
 @pytest.mark.parametrize(
+    "value, fragment",
+    [
+        ("3/0 e", "zero denominator"),
+        ("e<0,0> f", "unexpected trailing '<'"),
+        ("D{1,0} e", "unknown generator 'D'"),
+        ("e +", "expected a generator"),
+        ("(e + f)", "expected a generator"),
+        ("2 * * e", "expected a generator"),
+        ("", "expected a generator"),
+        ("x", "unknown generator 'x'"),
+    ],
+)
+def test_presentation_rejects_bad_bracket_values(value, fragment):
+    # a bracket value is a signed sum of bare, underived generators
+    src = SL2_FILE.replace("bracket(e, f): h", f"bracket(e, f): {value}")
+    with pytest.raises(ParseError) as info:
+        parse_presentation(src)
+    assert info.value.line == 8  # the bracket(e, f) line in SL2_FILE
+    assert fragment in str(info.value)
+
+
+def test_presentation_bracket_value_coefficients():
+    src = SL2_FILE.replace("bracket(e, f): h", "bracket(e, f): -3/6 h + 2 * f - e")
+    pres = parse_presentation(src)
+    assert pres.brackets[1] == (
+        (2, 0), ((1, Fraction(-1, 2)), (0, Fraction(2)), (2, Fraction(-1))))
+
+
+@pytest.mark.parametrize(
     "mangle, fragment",
     [
         (lambda s: s.replace("n: 2", "n: 0"), "at least 1"),

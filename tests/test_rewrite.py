@@ -1,11 +1,16 @@
 """Occurrence matching, reduction traces, compositions, and completion."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from confgsb.engine import Engine
+from confgsb.envelope import lie_conformal, lie_relation
+from confgsb.indices import iter_box
 from confgsb.rewrite import (
     BOUNDED_COMPLETE,
     COMPLETE,
@@ -344,6 +349,56 @@ def test_interreduce_fixes_golden_system():
     assert system.interreduce().elements == GOLDEN
 
 
+def _interreduce_by_rebuild(system):
+    """Reference interreduction: each element is reduced against a system
+    rebuilt from the others, and every change restarts the sweep."""
+    elems = list(system.elements)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(elems)):
+            others = RewriteSystem(system.engine, elems[:i] + elems[i + 1:])
+            r, _ = others.reduce(elems[i])
+            if r.is_zero():
+                del elems[i]
+                changed = True
+                break
+            r = r.monic()
+            if r != elems[i]:
+                elems[i] = r
+                changed = True
+                break
+    return elems
+
+
+def _abelian_envelope_relations():
+    sig = AlgebraSignature(2, (2, 2), ("x", "y", "z"))
+    eng = Engine(sig)
+    spec = lie_conformal(sig, {})
+    rels = [lie_relation(eng, spec, i, j, m)
+            for i in range(3) for j in range(i + 1) for m in iter_box(sig.locality)]
+    return eng, [r for r in rels if not r.is_zero()]
+
+
+@pytest.mark.parametrize("case", ["abelian-envelope", "golden-with-sums", "restart-sensitive"])
+def test_interreduce_matches_rebuild_reference(case):
+    eng = ENG
+    if case == "abelian-envelope":
+        eng, relations = _abelian_envelope_relations()
+    elif case == "golden-with-sums":
+        relations = [F, F + G, G] + GOLDEN + [G + H, 3 * P - Q, F + S, H - 2 * F]
+    else:
+        # sweeping on after a replacement, instead of restarting, ends elsewhere
+        relations = [Q - mono((1, 1)) - mono(), -mono((0, 0), (0, 0)) - 2 * mono((0, 1)),
+                     -2 * mono((1, 0)) - 2 * mono((0, 1)), P, -mono((1, 0)) - mono((0, 0))]
+    system = RewriteSystem(eng, relations)
+    before = system.elements
+    reference = _interreduce_by_rebuild(system)
+    assert reference != before  # the input is not already interreduced
+    assert system.interreduce().elements == reference
+    assert system.elements == before  # interreduce leaves its input alone
+
+
 # -- completion ----------------------------------------------------------------
 
 
@@ -452,5 +507,32 @@ def test_check_gsb_flags_incomplete_system():
 
 
 def test_zero_element_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RewriteSystem(ENG, [ConfPoly.zero()])
+
+
+def test_invalid_input_rejected_under_optimize():
+    # the checks must hold when ``python -O`` strips assert statements
+    script = """
+from confgsb import AlgebraSignature, ConfPoly, Engine, RewriteSystem, complete
+eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
+rejected = []
+for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
+                lambda: complete(eng, [], max_degree=0),
+                lambda: complete(eng, [], max_elements=0),
+                lambda: complete(eng, [], max_steps=-1)):
+    try:
+        attempt()
+    except ValueError as exc:
+        rejected.append(str(exc))
+print(len(rejected), *rejected, sep="\\n")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "4"
+    assert "nonzero" in lines[1]
+    assert [line.split()[0] for line in lines[2:]] == [
+        "max_degree", "max_elements", "max_steps"]
