@@ -34,6 +34,7 @@ from .words import (
     LinComb,
     Node,
     NormalWord,
+    accumulate,
     check_word,
     prepend_link,
 )
@@ -56,6 +57,11 @@ class Engine:
         self._words_memo: dict = {}
         self._derive_memo: dict = {}
 
+    def memo_sizes(self) -> dict[str, int]:
+        """Entry counts of the three memos, by name (all zero with cache=False)."""
+        return {"prefix": len(self._prefix_memo), "words": len(self._words_memo),
+                "derive": len(self._derive_memo)}
+
     # -- derivations ----------------------------------------------------
 
     def derive_word(self, t: int, w: NormalWord) -> ConfPoly:
@@ -68,19 +74,19 @@ class Engine:
             bumped = index_add(w.taild, unit_index(self.sig.n, t))
             out = ConfPoly.from_word(NormalWord((), w.tail, bumped))
         else:
-            # Leibniz across the first link; the label absorbs one D
+            # Leibniz across the first link; the label absorbs one D.  The
+            # two parts start with different first links, so no term meets
+            # another and nothing cancels.
             (g, m), rest_links = w.links[0], w.links[1:]
             rest = NormalWord(rest_links, w.tail, w.taild)
-            out = ConfPoly.zero()
+            terms = {
+                NormalWord(((g, m),) + x.links, x.tail, x.taild): c
+                for x, c in self.derive_word(t, rest).terms.items()
+            }
             if m[t]:
                 dropped = index_sub(m, unit_index(self.sig.n, t))
-                out = ConfPoly.from_word(
-                    NormalWord(((g, dropped),) + rest_links, w.tail, w.taild), -m[t]
-                )
-            inner = self.derive_word(t, rest)
-            out = out + inner.map_words(
-                lambda x: NormalWord(((g, m),) + x.links, x.tail, x.taild)
-            )
+                terms[NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)] = -m[t]
+            out = ConfPoly._raw(terms)
         if self.check:
             grades = tuple(
                 w.grade(r) - (1 if r == t else 0) for r in range(self.sig.n)
@@ -91,10 +97,10 @@ class Engine:
         return out
 
     def derive(self, t: int, p: ConfPoly) -> ConfPoly:
-        out = ConfPoly.zero()
+        out: dict = {}
         for w, c in p.terms.items():
-            out = out.add_scaled(self.derive_word(t, w), c)
-        return out
+            accumulate(out, self.derive_word(t, w).terms, c)
+        return ConfPoly._raw(out)
 
     def derive_multi(self, i: MultiIndex, p: ConfPoly) -> ConfPoly:
         for t, count in enumerate(i):
@@ -124,9 +130,8 @@ class Engine:
                 y = NormalWord((), w.tail, index_sub(w.taild, e_t))
                 out = self.derive(t, self.mul_prefix(gen, m, y))
                 if m[t]:
-                    out = out.add_scaled(
-                        self.mul_prefix(gen, index_sub(m, e_t), y), m[t]
-                    )
+                    # derive() built a fresh dict, which nothing else holds yet
+                    accumulate(out.terms, self.mul_prefix(gen, index_sub(m, e_t), y).terms, m[t])
         else:
             # invalid label against a longer word: gen⟨m⟩(head generator)
             # vanishes, so the expansion of that zero product can be solved
@@ -134,16 +139,15 @@ class Engine:
             # gen⟨m⟩w = −Σ_{s≠0} (−1)^|s| C(m,s) gen⟨m−s⟩(b⟨m′+s⟩v)
             (b, mp) = w.links[0]
             v = NormalWord(w.links[1:], w.tail, w.taild)
-            out = ConfPoly.zero()
+            terms: dict = {}
             for s in iter_below(m):
                 if not any(s):
                     continue
                 inner = self.mul_prefix(b, index_add(mp, s), v)
                 if inner:
-                    out = out.add_scaled(
-                        self.mul_prefix_poly(gen, index_sub(m, s), inner),
-                        -sign_of(s) * binom_multi(m, s),
-                    )
+                    accumulate(terms, self.mul_prefix_poly(gen, index_sub(m, s), inner).terms,
+                               -sign_of(s) * binom_multi(m, s))
+            out = ConfPoly._raw(terms)
         if self.check:
             grades = tuple(m[r] + w.grade(r) for r in range(self.sig.n))
             self._audit(out, 1 + w.length, grades, dfree=w.is_dfree())
@@ -152,10 +156,10 @@ class Engine:
         return out
 
     def mul_prefix_poly(self, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
-        out = ConfPoly.zero()
+        out: dict = {}
         for w, c in p.terms.items():
-            out = out.add_scaled(self.mul_prefix(gen, m, w), c)
-        return out
+            accumulate(out, self.mul_prefix(gen, m, w).terms, c)
+        return ConfPoly._raw(out)
 
     def mul_words(self, u: NormalWord, m: MultiIndex, v: NormalWord) -> ConfPoly:
         """Normal form of [u]⟨m⟩[v]."""
@@ -177,14 +181,13 @@ class Engine:
             # (b⟨m1⟩u1)⟨m⟩v = Σ_s (−1)^|s| C(m1,s) b⟨m1−s⟩(u1⟨m+s⟩v)
             (b, m1) = u.links[0]
             u1 = NormalWord(u.links[1:], u.tail, u.taild)
-            out = ConfPoly.zero()
+            terms: dict = {}
             for s in iter_below(m1):
                 inner = self.mul_words(u1, index_add(m, s), v)
                 if inner:
-                    out = out.add_scaled(
-                        self.mul_prefix_poly(b, index_sub(m1, s), inner),
-                        sign_of(s) * binom_multi(m1, s),
-                    )
+                    accumulate(terms, self.mul_prefix_poly(b, index_sub(m1, s), inner).terms,
+                               sign_of(s) * binom_multi(m1, s))
+            out = ConfPoly._raw(terms)
         if self.check:
             grades = tuple(
                 u.grade(r) + m[r] + v.grade(r) for r in range(self.sig.n)
@@ -196,29 +199,33 @@ class Engine:
         return out
 
     def mul_poly(self, p: ConfPoly, m: MultiIndex, q: ConfPoly) -> ConfPoly:
-        out = ConfPoly.zero()
+        out: dict = {}
         for u, cu in p.terms.items():
             for v, cv in q.terms.items():
-                out = out.add_scaled(self.mul_words(u, m, v), cu * cv)
-        return out
+                accumulate(out, self.mul_words(u, m, v).terms, cu * cv)
+        return ConfPoly._raw(out)
 
     # -- expression trees -------------------------------------------------
 
     def normalize_tree(self, tree: ExprTree) -> ConfPoly:
         if isinstance(tree, Leaf):
-            assert 0 <= tree.gen < len(self.sig.generators), tree.gen
-            assert len(tree.dexp) == self.sig.n, tree.dexp
+            if not 0 <= tree.gen < len(self.sig.generators):
+                raise ValueError(f"leaf generator {tree.gen} is not in the signature")
+            if len(tree.dexp) != self.sig.n or any(c < 0 for c in tree.dexp):
+                raise ValueError(f"leaf derivation exponent {tree.dexp} is not a "
+                                 f"multi-index of length {self.sig.n}")
             return ConfPoly.from_word(NormalWord((), tree.gen, tree.dexp))
-        assert isinstance(tree, Node), tree
+        if not isinstance(tree, Node):
+            raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
         left = self.normalize_tree(tree.left)
         right = self.normalize_tree(tree.right)
         return self.mul_poly(left, tree.label, right)
 
     def normalize(self, comb: LinComb) -> ConfPoly:
-        out = ConfPoly.zero()
+        out: dict = {}
         for coeff, tree in comb:
-            out = out.add_scaled(self.normalize_tree(tree), Fraction(coeff))
-        return out
+            accumulate(out, self.normalize_tree(tree).terms, Fraction(coeff))
+        return ConfPoly._raw(out)
 
     # -- invariant auditing ------------------------------------------------
 

@@ -26,7 +26,7 @@ from .indices import (
     zero_index,
 )
 from .rewrite import RewriteSystem
-from .words import AlgebraSignature, ConfPoly, check_word, prepend_link, single_word
+from .words import AlgebraSignature, ConfPoly, prepend_link, single_word
 
 
 # -- ordinary Lie algebras -----------------------------------------------------
@@ -51,15 +51,16 @@ def lie_algebra(basis, brackets) -> LieAlgebraSpec:
     dim = len(basis)
     norm = {}
     for (i, j), combo in brackets.items():
-        assert 0 <= i < dim and 0 <= j < dim, (i, j)
-        entries = []
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"bracket key {(i, j)} is outside the basis of {dim} elements")
+        summed: dict[int, Fraction] = {}
         for k, c in combo:
-            assert 0 <= k < dim, k
-            c = Fraction(c)
-            if c:
-                entries.append((k, c))
+            if not 0 <= k < dim:
+                raise ValueError(f"bracket value index {k} is outside the basis of {dim} elements")
+            summed[k] = summed.get(k, 0) + Fraction(c)
+        entries = tuple(sorted((k, c) for k, c in summed.items() if c))
         if entries:
-            norm[(i, j)] = tuple(sorted(entries))
+            norm[(i, j)] = entries
     return LieAlgebraSpec(basis, norm)
 
 
@@ -131,14 +132,20 @@ def lie_conformal(signature: AlgebraSignature, table) -> LieConformalSpec:
     """Validate and normalize a raw table into a LieConformalSpec."""
     norm = {}
     for (i, j, m), value in table.items():
-        assert 0 <= j < i < len(signature.generators), (i, j)
+        if not 0 <= j < i < len(signature.generators):
+            raise ValueError(f"table key needs 0 <= j < i < {len(signature.generators)}, "
+                             f"got i = {i}, j = {j}")
         m = tuple(m)
-        assert signature.is_valid(m), ("table key outside validity box", m)
+        if not signature.is_valid(m):
+            raise ValueError(f"table key label {m} is outside the validity box")
         if value.is_zero():
             continue
         for w in value.terms:
-            assert w.length == 1, ("table values must be length-1 combinations", w)
-            check_word(signature, w)
+            if w.length != 1:
+                raise ValueError(f"table values must be length-1 combinations, got {w}")
+            if not (0 <= w.tail < len(signature.generators) and len(w.taild) == signature.n
+                    and min(w.taild) >= 0):
+                raise ValueError(f"table value word {w} is not a derived generator of the signature")
         norm[(i, j, m)] = value
     return LieConformalSpec(signature, norm)
 

@@ -8,7 +8,9 @@ right-normed product
 stored flat as a chain of (generator, label) links, a tail generator and a
 tail derivation exponent.  Every label must be valid for the signature's
 locality bound.  Polynomials are sparse maps from normal words to nonzero
-rationals.
+exact coefficients, ``int`` or ``Fraction``: the engine's closed forms
+(signs, binomials, falling factorials) keep word-level results integral,
+and ``Fraction`` enters with user coefficients and ``monic()``.
 
 Words are well-ordered by weight: length first, then the interleaved
 generator/label sequence left to right, then the tail generator, then the
@@ -33,11 +35,16 @@ class AlgebraSignature:
     generators: tuple[str, ...]
 
     def __post_init__(self):
-        assert self.n >= 1, self.n
-        assert len(self.locality) == self.n, (self.locality, self.n)
-        assert all(nt >= 1 for nt in self.locality), self.locality
-        assert len(set(self.generators)) == len(self.generators), self.generators
-        assert self.generators, "at least one generator required"
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if len(self.locality) != self.n:
+            raise ValueError(f"locality {self.locality} does not have n = {self.n} entries")
+        if not all(nt >= 1 for nt in self.locality):
+            raise ValueError(f"locality entries must be at least 1, got {self.locality}")
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError(f"generator names repeat: {self.generators}")
+        if not self.generators:
+            raise ValueError("at least one generator required")
 
     def is_valid(self, m: MultiIndex) -> bool:
         return is_valid_index(m, self.locality)
@@ -115,25 +122,41 @@ def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
     return w
 
 
-class ConfPoly:
-    """Sparse polynomial: map from normal words to nonzero rationals.
+Coeff = Union[int, Fraction]
 
-    Instances behave like values (frozen after construction); arithmetic is
-    by dict merging.  Iteration orders terms by descending weight so the
-    leading term is always first.
+
+def accumulate(out: dict, terms: dict, c: Coeff) -> None:
+    """out += c * terms, in place, dropping cancellations."""
+    get = out.get
+    for w, v in terms.items():
+        acc = get(w, 0) + c * v
+        if acc:
+            out[w] = acc
+        else:
+            out.pop(w, None)
+
+
+class ConfPoly:
+    """Sparse polynomial: map from normal words to nonzero exact coefficients.
+
+    Coefficients are ``int`` or ``Fraction``; both compare and hash alike, so
+    equality does not depend on which one a term holds.  Instances behave
+    like values (frozen after construction); arithmetic is by dict merging.
+    Iteration orders terms by descending weight so the leading term is
+    always first.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[NormalWord, Fraction] | None = None):
-        self.terms: dict[NormalWord, Fraction] = {}
+    def __init__(self, terms: dict[NormalWord, Coeff] | None = None):
+        self.terms: dict[NormalWord, Coeff] = {}
         if terms:
             for w, c in terms.items():
                 if c:
-                    self.terms[w] = Fraction(c)
+                    self.terms[w] = c if isinstance(c, (int, Fraction)) else Fraction(c)
 
     @classmethod
-    def _raw(cls, terms: dict[NormalWord, Fraction]) -> "ConfPoly":
+    def _raw(cls, terms: dict[NormalWord, Coeff]) -> "ConfPoly":
         # internal: caller guarantees no zero coefficients
         p = cls.__new__(cls)
         p.terms = terms
@@ -144,9 +167,8 @@ class ConfPoly:
         return cls._raw({})
 
     @classmethod
-    def from_word(cls, w: NormalWord, coeff: Fraction | int = 1) -> "ConfPoly":
-        c = Fraction(coeff)
-        return cls._raw({w: c}) if c else cls._raw({})
+    def from_word(cls, w: NormalWord, coeff: Coeff = 1) -> "ConfPoly":
+        return cls._raw({w: coeff}) if coeff else cls._raw({})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -163,13 +185,13 @@ class ConfPoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def items_desc(self) -> list[tuple[NormalWord, Fraction]]:
+    def items_desc(self) -> list[tuple[NormalWord, Coeff]]:
         return sorted(self.terms.items(), key=lambda wc: wc[0].weight_key(), reverse=True)
 
-    def __iter__(self) -> Iterator[tuple[NormalWord, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[NormalWord, Coeff]]:
         return iter(self.items_desc())
 
-    def leading_term(self) -> tuple[NormalWord, Fraction]:
+    def leading_term(self) -> tuple[NormalWord, Coeff]:
         assert self.terms, "leading term of the zero polynomial"
         w = max(self.terms, key=NormalWord.weight_key)
         return w, self.terms[w]
@@ -181,52 +203,45 @@ class ConfPoly:
         """Length of the leading word (0 for the zero polynomial)."""
         return self.leading_word().length if self.terms else 0
 
-    def coeff(self, w: NormalWord) -> Fraction:
-        return self.terms.get(w, Fraction(0))
+    def coeff(self, w: NormalWord) -> Coeff:
+        return self.terms.get(w, 0)
 
     def __add__(self, other: "ConfPoly") -> "ConfPoly":
-        return self.add_scaled(other, Fraction(1))
+        return self.add_scaled(other, 1)
 
     def __sub__(self, other: "ConfPoly") -> "ConfPoly":
-        return self.add_scaled(other, Fraction(-1))
+        return self.add_scaled(other, -1)
 
     def __neg__(self) -> "ConfPoly":
         return self._raw({w: -c for w, c in self.terms.items()})
 
-    def __mul__(self, scalar) -> "ConfPoly":
-        c = Fraction(scalar)
-        if not c:
+    def __mul__(self, scalar: Coeff) -> "ConfPoly":
+        if not scalar:
             return ConfPoly.zero()
-        return self._raw({w: c * v for w, v in self.terms.items()})
+        return self._raw({w: scalar * v for w, v in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def add_scaled(self, other: "ConfPoly", coeff: Fraction | int) -> "ConfPoly":
+    def add_scaled(self, other: "ConfPoly", coeff: Coeff) -> "ConfPoly":
         """self + coeff * other, dropping cancellations."""
-        c = Fraction(coeff)
-        if not c:
+        if not coeff:
             return self
         out = dict(self.terms)
-        for w, v in other.terms.items():
-            acc = out.get(w, 0) + c * v
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        accumulate(out, other.terms, coeff)
         return self._raw(out)
 
     def monic(self) -> "ConfPoly":
         _, lc = self.leading_term()
         if lc == 1:
             return self
-        inv = 1 / lc
+        inv = Fraction(1) / lc
         return self._raw({w: inv * c for w, c in self.terms.items()})
 
     def is_dfree(self) -> bool:
         return all(w.is_dfree() for w in self.terms)
 
     def map_words(self, fn) -> "ConfPoly":
-        out: dict[NormalWord, Fraction] = {}
+        out: dict[NormalWord, Coeff] = {}
         for w, c in self.terms.items():
             nw = fn(w)
             acc = out.get(nw, 0) + c

@@ -5,6 +5,8 @@ invariants (length, grade conservation, D-free closure) are asserted inside
 every single operation these tests perform.
 """
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from confgsb.engine import Engine
 from confgsb.indices import binom_multi, index_add, index_sub, iter_below, sign_of, unit_index
 from confgsb.naive import naive_normalize
+from confgsb.rewrite import RewriteSystem
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -136,7 +139,7 @@ def test_normalize_linear_combination():
 
 
 def test_normalize_rejects_unknown_generator():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         eng().normalize_tree(Leaf(3, (0, 0)))
 
 
@@ -346,3 +349,109 @@ def test_three_coordinate_signature():
     assert out == 2 * ConfPoly.from_word(
         NormalWord(((0, (1, 0, 0)), (1, (1, 0, 0))), 0, (0, 0, 0))
     )
+
+
+# --- the integer core -----------------------------------------------------------
+
+
+def _c05_draws(trials, seed):
+    """Seeded (engine, u, v, v2, m, mp, t) draws in the style of the c05 suite."""
+    rng = random.Random(seed)
+    engines = {}
+    for _ in range(trials):
+        n = rng.choice((1, 2, 3))
+        loc = tuple(rng.randint(1, 3) for _ in range(n))
+        gens = ("a", "b")[: rng.randint(1, 2)]
+        e = engines.setdefault((loc, gens), Engine(AlgebraSignature(n, loc, gens)))
+
+        def rand_word():
+            links = tuple((rng.randrange(len(gens)), tuple(rng.randrange(b) for b in loc))
+                          for _ in range(rng.randint(0, 2)))
+            return NormalWord(links, rng.randrange(len(gens)),
+                              tuple(rng.randint(0, 1) for _ in range(n)))
+
+        def rand_label():
+            m = [rng.randrange(b) for b in loc]
+            if rng.random() < 0.5:
+                t = rng.randrange(n)
+                m[t] = loc[t]
+            return tuple(m)
+
+        yield e, rand_word(), rand_word(), rand_word(), rand_label(), rand_label(), rng.randrange(n)
+
+
+def _assert_int_coefficients(p, what):
+    bad = {w: c for w, c in p.terms.items() if type(c) is not int}
+    assert not bad, (what, bad)
+
+
+def test_word_level_results_are_int():
+    engines = set()
+    for e, u, v, v2, m, mp, t in _c05_draws(60, 20261018):
+        engines.add(e)
+        _assert_int_coefficients(e.mul_words(u, m, v), "mul_words")
+        _assert_int_coefficients(e.mul_prefix(v.tail, m, v2), "mul_prefix")
+        _assert_int_coefficients(e.derive_word(t, u), "derive_word")
+        _assert_int_coefficients(e.mul_poly(e.mul_words(u, m, v), mp, ConfPoly.from_word(v2)),
+                                 "mul_poly")
+    for e in engines:
+        for memo in (e._prefix_memo, e._words_memo, e._derive_memo):
+            for key, p in memo.items():
+                _assert_int_coefficients(p, key)
+
+
+def test_monic_brings_fraction_in():
+    one = ConfPoly.from_word(A, 2).monic()
+    assert one.terms == {A: Fraction(1)} and type(one.terms[A]) is Fraction
+    e = eng()
+    u = e.mul_words(A, (0, 0), A)
+    p = 2 * u - ConfPoly.from_word(A)
+    _assert_int_coefficients(p, "2u - v")
+    rule = RewriteSystem(e, [p]).rules[0].poly
+    assert rule.terms == {word2((0, 0)): Fraction(1), A: Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in rule.terms.values())
+
+
+def test_memo_values_survive_accumulation():
+    e = eng()
+    p = poly((1, word2((1, 1))), (-3, word2((0, 1), tail=0, taild=(1, 0))), (2, A))
+    q = poly((1, single_word(0, 2, (1, 0))), (5, word2((1, 0))))
+
+    def products():
+        return e.mul_poly(p, (2, 1), q), e.mul_prefix_poly(0, (2, 2), q), e.derive(1, p)
+
+    first = products()
+    memos = copy.deepcopy((e._prefix_memo, e._words_memo, e._derive_memo))
+    assert products() == first
+    assert (e._prefix_memo, e._words_memo, e._derive_memo) == memos
+    assert all(memos)
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_engine_matches_naive_with_and_without_cache(cache):
+    rng = random.Random(7)
+    sig = AlgebraSignature(2, (2, 2), ("a", "b"))
+    e = Engine(sig, cache=cache)
+
+    def rand_tree(leaves):
+        if leaves == 1:
+            return Leaf(rng.randrange(2), (rng.randint(0, 1), rng.randint(0, 1)))
+        k = rng.randint(1, leaves - 1)
+        return Node(rand_tree(k), (rng.randint(0, 3), rng.randint(0, 3)), rand_tree(leaves - k))
+
+    for _ in range(40):
+        comb = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rand_tree(rng.randint(1, 4)))
+                for _ in range(2)]
+        assert e.normalize(comb).terms == naive_normalize(sig, comb)
+
+
+def test_memo_sizes():
+    e = eng()
+    assert e.memo_sizes() == {"prefix": 0, "words": 0, "derive": 0}
+    e.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
+    e.derive_word(0, word2((1, 1), (0, 1)))
+    e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
+    assert e.memo_sizes() == {"prefix": 22, "words": 5, "derive": 3}
+    plain = eng(cache=False)
+    plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
+    assert plain.memo_sizes() == {"prefix": 0, "words": 0, "derive": 0}

@@ -19,6 +19,7 @@ from confgsb.envelope import (
     bracket,
 )
 from confgsb.indices import index_add, index_sub, iter_box, sign_of, factorial_multi
+from confgsb.parsing import parse_presentation
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -89,6 +90,34 @@ def test_bracket_mirror_lookup():
     assert bracket(g, 1, 0) == {0: Fraction(-2)}
     assert bracket(g, 0, 1) == {0: Fraction(2)}
     assert bracket(g, 0, 0) == {}
+
+
+SL2_LOOP_TEXT = """
+algebra
+  n: 1
+  locality: [1]
+  generators: [e, h, f]
+
+lie
+  bracket(h, e): {he}
+  bracket(h, f): -2*f
+  bracket(e, f): h
+"""
+
+
+def test_bracket_value_sums_repeated_generators():
+    def table(he):
+        pres = parse_presentation(SL2_LOOP_TEXT.format(he=he))
+        return lie_algebra(pres.signature.generators, dict(pres.brackets))
+
+    doubled = table("e + e")
+    assert doubled.brackets[(1, 0)] == ((0, Fraction(2)),)
+    assert bracket(doubled, 1, 0) == {0: 2}
+    assert doubled == table("2*e")
+    assert validate_lie(doubled)
+    cancelled = table("e - e")
+    assert (1, 0) not in cancelled.brackets
+    assert bracket(cancelled, 1, 0) == {}
 
 
 # -- the brace transform ----------------------------------------------------------
@@ -214,13 +243,13 @@ def test_loop_conformal_rejects_invalid_lie():
 
 def test_lie_conformal_rejects_long_table_values():
     bad = ConfPoly.from_word(word([(0, (0, 0))], 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lie_conformal(AlgebraSignature(2, (1, 1), ("x", "y")), {(1, 0, (0, 0)): bad})
 
 
 def test_lie_conformal_rejects_invalid_key():
     val = ConfPoly.from_word(single_word(0, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lie_conformal(AlgebraSignature(2, (1, 1), ("x", "y")), {(1, 0, (1, 0)): val})
 
 

@@ -514,13 +514,19 @@ def test_zero_element_rejected():
 def test_invalid_input_rejected_under_optimize():
     # the checks must hold when ``python -O`` strips assert statements
     script = """
-from confgsb import AlgebraSignature, ConfPoly, Engine, RewriteSystem, complete
+from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, complete,
+                     lie_conformal, single_word)
 eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
+xy = AlgebraSignature(2, (1, 1), ("x", "y"))
 rejected = []
 for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
                 lambda: complete(eng, [], max_degree=0),
                 lambda: complete(eng, [], max_elements=0),
-                lambda: complete(eng, [], max_steps=-1)):
+                lambda: complete(eng, [], max_steps=-1),
+                lambda: AlgebraSignature(2, (2,), ("a", "a")),
+                lambda: eng.normalize_tree(Leaf(3, (0, 0))),
+                lambda: lie_conformal(xy, {(1, 0, (1, 0)): ConfPoly.from_word(single_word(0, 2))}),
+                lambda: lie_conformal(xy, {(1, 0, (0, 0)): ConfPoly.from_word(single_word(5, 2))})):
     try:
         attempt()
     except ValueError as exc:
@@ -532,7 +538,11 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "4"
+    assert lines[0] == "8"
     assert "nonzero" in lines[1]
-    assert [line.split()[0] for line in lines[2:]] == [
+    assert [line.split()[0] for line in lines[2:5]] == [
         "max_degree", "max_elements", "max_steps"]
+    assert lines[5].startswith("locality")
+    assert lines[6].startswith("leaf generator 3")
+    assert "outside the validity box" in lines[7]
+    assert "not a derived generator" in lines[8]

@@ -34,9 +34,9 @@ def test_signature_basics():
     assert SIG.gen_index("b") == 1
     with pytest.raises(KeyError):
         SIG.gen_index("c")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AlgebraSignature(n=2, locality=(2, 2), generators=("a", "a"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AlgebraSignature(n=1, locality=(2, 2), generators=("a",))
 
 
