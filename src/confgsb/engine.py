@@ -14,8 +14,6 @@ the engine with check=True; invariant_checks counts how many audits ran.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .indices import (
     MultiIndex,
     binom_multi,
@@ -36,6 +34,7 @@ from .words import (
     NormalWord,
     accumulate,
     check_word,
+    exact,
     prepend_link,
 )
 
@@ -224,7 +223,7 @@ class Engine:
     def normalize(self, comb: LinComb) -> ConfPoly:
         out: dict = {}
         for coeff, tree in comb:
-            accumulate(out, self.normalize_tree(tree).terms, Fraction(coeff))
+            accumulate(out, self.normalize_tree(tree).terms, exact(coeff))
         return ConfPoly._raw(out)
 
     # -- invariant auditing ------------------------------------------------

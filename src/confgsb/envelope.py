@@ -26,7 +26,7 @@ from .indices import (
     zero_index,
 )
 from .rewrite import RewriteSystem
-from .words import AlgebraSignature, ConfPoly, prepend_link, single_word
+from .words import AlgebraSignature, ConfPoly, accumulate, exact, prepend_link, single_word
 
 
 # -- ordinary Lie algebras -----------------------------------------------------
@@ -167,14 +167,14 @@ def brace(engine: Engine, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
     box where m+s stays valid."""
     sig = engine.sig
     assert sig.is_valid(m), m
-    out = ConfPoly.zero()
+    out: dict = {}
     for s in iter_box(index_sub(sig.locality, m)):
         term = engine.mul_prefix_poly(gen, index_add(m, s), p)
         if term.is_zero():
             continue
         term = engine.derive_multi(s, term)
-        out = out.add_scaled(term, Fraction(sign_of(index_add(m, s)), factorial_multi(s)))
-    return out
+        accumulate(out, term.terms, exact(Fraction(sign_of(index_add(m, s)), factorial_multi(s))))
+    return ConfPoly._raw(out)
 
 
 def commutator(engine: Engine, i: int, m: MultiIndex, j: int) -> ConfPoly:

@@ -12,9 +12,10 @@ basis of the quotient algebra.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, product
+from operator import neg
 
 from .engine import Engine
 from .indices import (
@@ -24,7 +25,7 @@ from .indices import (
     iter_box,
     zero_index,
 )
-from .words import ConfPoly, NormalWord, compare_words, single_word
+from .words import Coeff, ConfPoly, NormalWord, accumulate, compare_words, single_word
 
 INCLUSION = "inclusion"
 RIGHT_INCLUSION = "right-inclusion"
@@ -68,7 +69,7 @@ class TraceStep:
 
     word: NormalWord
     occ: Occurrence
-    coeff: Fraction
+    coeff: Coeff
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ class ReductionTrace:
 
     def replay(self, system: "RewriteSystem") -> ConfPoly:
         """Rebuild the subtracted combination; input = remainder + replay."""
-        total = ConfPoly.zero()
+        total: dict = {}
         for step in self.steps:
-            total = total.add_scaled(system.build_sword(step.word, step.occ), step.coeff)
-        return total
+            accumulate(total, system.build_sword(step.word, step.occ).terms, step.coeff)
+        return ConfPoly._raw(total)
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,11 @@ class GSBReport:
         return not self.failures
 
 
+def _desc_key(w: NormalWord) -> tuple[int, ...]:
+    """Heap key that pops the greatest word first."""
+    return tuple(map(neg, w.weight_key()))
+
+
 def _labels_match(w: NormalWord, lead: NormalWord, p: int) -> bool:
     """Do the internal link labels of ``lead`` match ``w`` at position p?"""
     return all(w.links[p + r][1] == lead.links[r][1] for r in range(lead.length - 1))
@@ -156,6 +162,32 @@ def _rule(p: ConfPoly) -> Rule:
     return Rule(p, lead, lead.gens(), p.is_dfree())
 
 
+class _LeadIndex:
+    """The rules of a system keyed on their leading words' (links, tail).
+
+    ``interior`` lists the D-free rules, which alone match inside a word;
+    ``suffix`` lists every rule with its lead's tail derivation, for the
+    dshift check of a suffix match; ``lengths`` holds the distinct lead
+    lengths in ascending order.
+    """
+
+    def __init__(self, rules: list[Rule]):
+        self.interior: dict[tuple, list[int]] = {}
+        self.suffix: dict[tuple, list[tuple[int, MultiIndex]]] = {}
+        self.lengths: list[int] = []
+        for e, rule in enumerate(rules):
+            self._add(e, rule)
+
+    def _add(self, e: int, rule: Rule) -> None:
+        lead = rule.lead
+        key = (lead.links, lead.tail)
+        if rule.dfree:
+            self.interior.setdefault(key, []).append(e)
+        self.suffix.setdefault(key, []).append((e, lead.taild))
+        if lead.length not in self.lengths:
+            insort(self.lengths, lead.length)
+
+
 class RewriteSystem:
     """A sequence of monic nonzero relation polynomials, one Rule each."""
 
@@ -163,6 +195,7 @@ class RewriteSystem:
         self.engine = engine
         self.sig = engine.sig
         self.rules: list[Rule] = []
+        self._index: _LeadIndex | None = None
         for p in elements:
             self._append(p)
 
@@ -174,31 +207,41 @@ class RewriteSystem:
         return [r.poly for r in self.rules]
 
     def _append(self, p: ConfPoly) -> int:
-        self.rules.append(_rule(p))
-        return len(self.rules) - 1
+        rule = _rule(p)
+        self.rules.append(rule)
+        e = len(self.rules) - 1
+        if self._index is not None:
+            self._index._add(e, rule)
+        return e
 
     # -- occurrence matching ------------------------------------------------
 
     def find_occurrences(self, w: NormalWord, exclude: frozenset[int] = frozenset()) -> list[Occurrence]:
-        """All pattern matches in ``w``, ordered by (position, kind, element)."""
+        """All pattern matches in ``w``, ordered by (position, kind, element).
+
+        Each candidate segment of ``w`` is looked up in the leading-word
+        index, so the cost grows with the word and the number of distinct
+        lead lengths, not with the number of rules.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = _LeadIndex(self.rules)
         out = []
-        wg = w.gens()
-        nlinks = len(w.links)
-        for e, rule in enumerate(self.rules):
-            if e in exclude:
-                continue
-            lead = rule.lead
-            lg = rule.lead_gens
-            L = lead.length
-            if rule.dfree:
-                # interior matches: the element must be D-free end to end, and
-                # a link must follow the matched segment
-                for p in range(nlinks - L + 1):
-                    if wg[p:p + L] == lg and _labels_match(w, lead, p):
+        links = w.links
+        nlinks = len(links)
+        for L in index.lengths:
+            # interior matches: a link must follow the matched segment
+            for p in range(nlinks - L + 1):
+                for e in index.interior.get((links[p:p + L - 1], links[p + L - 1][0]), ()):
+                    if e not in exclude:
                         out.append(Occurrence(e, p, False))
-            p = w.length - L
-            if p >= 0 and wg[p:] == lg and _labels_match(w, lead, p):
-                dshift = tuple(a - b for a, b in zip(w.taild, lead.taild))
+            p = nlinks + 1 - L
+            if p < 0:
+                break
+            for e, taild in index.suffix.get((links[p:], w.tail), ()):
+                if e in exclude:
+                    continue
+                dshift = tuple(a - b for a, b in zip(w.taild, taild))
                 if all(c >= 0 for c in dshift):
                     out.append(Occurrence(e, p, True, dshift))
         out.sort(key=lambda o: (o.pos, o.second, o.elem))
@@ -208,7 +251,7 @@ class RewriteSystem:
         """Engine-normalize the S-word that eliminates ``w`` via ``occ``.
 
         The result's leading term is exactly (w, 1); anything else would
-        break the well-order descent of reduction, so it is asserted.
+        break the well-order descent of reduction, so it raises.
         """
         eng = self.engine
         rule = self.rules[occ.elem]
@@ -221,8 +264,9 @@ class RewriteSystem:
             core = eng.mul_poly(rule.poly, mprime, ConfPoly.from_word(v))
         for gen, m in reversed(w.links[:occ.pos]):
             core = eng.mul_prefix_poly(gen, m, core)
-        lw, lc = core.leading_term()
-        assert lw == w and lc == 1, ("leading-word law violated", w, occ, lw, lc)
+        if core.is_zero() or core.leading_term() != (w, 1):
+            raise RuntimeError(f"leading-word law violated: the S-word of {occ} does not "
+                               f"lead with {w}")
         return core
 
     # -- reduction ----------------------------------------------------------
@@ -232,29 +276,32 @@ class RewriteSystem:
 
         Targets the greatest reducible word each round and its first
         occurrence (leftmost position); pass ``rng`` to randomize the
-        choice among a word's occurrences instead.
+        choice among a word's occurrences instead.  Words are popped from
+        a max-heap, each once: an S-word adds only words below the one it
+        eliminates, so a popped word that is irreducible stays so.
         """
-        remainder = p
+        terms = dict(p.terms)
+        heap = [(_desc_key(w), w) for w in terms]
+        heapq.heapify(heap)
+        queued = set(terms)
         steps = []
-        irreducible: set[NormalWord] = set()
-        while True:
-            picked = None
-            for w in sorted(remainder.terms, key=NormalWord.weight_key, reverse=True):
-                if w in irreducible:
-                    continue
-                occs = self.find_occurrences(w, exclude)
-                if occs:
-                    picked = (w, occs)
-                    break
-                irreducible.add(w)
-            if picked is None:
-                return remainder, ReductionTrace(tuple(steps))
-            w, occs = picked
+        while heap:
+            w = heapq.heappop(heap)[1]
+            coeff = terms.get(w)
+            if coeff is None:
+                continue
+            occs = self.find_occurrences(w, exclude)
+            if not occs:
+                continue
             occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
-            coeff = remainder.coeff(w)
             sword = self.build_sword(w, occ)
-            remainder = remainder.add_scaled(sword, -coeff)
+            accumulate(terms, sword.terms, -coeff)
+            for u in sword.terms:
+                if u not in queued:
+                    queued.add(u)
+                    heapq.heappush(heap, (_desc_key(u), u))
             steps.append(TraceStep(w, occ, coeff))
+        return ConfPoly._raw(terms), ReductionTrace(tuple(steps))
 
     # -- composition generation ----------------------------------------------
 
@@ -369,15 +416,18 @@ class RewriteSystem:
                 task.w, Occurrence(task.j, task.pos, False))
         elif task.kind == RIGHT_INCLUSION:
             lhs = eng.derive_multi(task.alpha, poly)
-            assert lhs.leading_term() == (task.w, 1), task
+            if lhs.is_zero() or lhs.leading_term() != (task.w, 1):
+                raise RuntimeError(f"leading-word law violated: {task}")
             rhs = self.build_sword(task.w, Occurrence(task.j, task.pos, True, task.beta))
             out = lhs - rhs
-        else:
-            assert task.kind == INTERSECTION, task.kind
+        elif task.kind == INTERSECTION:
             lhs = self.build_sword(task.w, Occurrence(task.i, 0, False))
             rhs = self.build_sword(task.w, Occurrence(task.j, task.pos, True, zero_index(n)))
             out = lhs - rhs
-        assert out.is_zero() or compare_words(out.leading_word(), task.w) < 0, task
+        else:
+            raise RuntimeError(f"unknown composition kind {task.kind!r}")
+        if not out.is_zero() and compare_words(out.leading_word(), task.w) >= 0:
+            raise RuntimeError(f"composition does not descend below its word: {task}")
         return out
 
     def check_gsb(self) -> GSBReport:
@@ -403,13 +453,15 @@ class RewriteSystem:
                 r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
                 if r.is_zero():
                     del rules[i]
-                    changed = True
-                    break
-                r = r.monic()
-                if r != rule.poly:
+                else:
+                    r = r.monic()
+                    if r == rule.poly:
+                        continue
                     rules[i] = _rule(r)
-                    changed = True
-                    break
+                # the index holds rule positions and leading words: rebuild it
+                out._index = None
+                changed = True
+                break
         return out
 
     def irreducible_words(self, max_length: int, max_taild: MultiIndex | None = None) -> list[NormalWord]:

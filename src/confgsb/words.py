@@ -10,7 +10,8 @@ tail derivation exponent.  Every label must be valid for the signature's
 locality bound.  Polynomials are sparse maps from normal words to nonzero
 exact coefficients, ``int`` or ``Fraction``: the engine's closed forms
 (signs, binomials, falling factorials) keep word-level results integral,
-and ``Fraction`` enters with user coefficients and ``monic()``.
+and ``Fraction`` enters only where a user coefficient or a ``monic()``
+scaling is not a whole number: whole coefficients are kept as ``int``.
 
 Words are well-ordered by weight: length first, then the interleaved
 generator/label sequence left to right, then the tail generator, then the
@@ -125,6 +126,12 @@ def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
 Coeff = Union[int, Fraction]
 
 
+def exact(c) -> Coeff:
+    """``c`` as an exact coefficient: an ``int`` when whole, else a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def accumulate(out: dict, terms: dict, c: Coeff) -> None:
     """out += c * terms, in place, dropping cancellations."""
     get = out.get
@@ -231,11 +238,12 @@ class ConfPoly:
         return self._raw(out)
 
     def monic(self) -> "ConfPoly":
+        """Scaled to leading coefficient 1; whole coefficients come out ``int``."""
         _, lc = self.leading_term()
         if lc == 1:
             return self
         inv = Fraction(1) / lc
-        return self._raw({w: inv * c for w, c in self.terms.items()})
+        return self._raw({w: exact(inv * c) for w, c in self.terms.items()})
 
     def is_dfree(self) -> bool:
         return all(w.is_dfree() for w in self.terms)
@@ -284,7 +292,9 @@ class Node:
     right: "ExprTree"
 
 
-ExprTree = Union[Leaf, Node]
+# not ``Union[Leaf, Node]``: typing caches that, and the cache would keep every
+# imported copy of this module alive
+ExprTree = Leaf | Node
 LinComb = list[tuple[Fraction, ExprTree]]
 
 

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confgsb.engine import Engine
+from confgsb.envelope import enveloping_presentation, lie_conformal
 from confgsb.indices import binom_multi, index_add, index_sub, iter_below, sign_of, unit_index
 from confgsb.naive import naive_normalize
-from confgsb.rewrite import RewriteSystem
+from confgsb.rewrite import COMPLETE, LIMIT_REACHED, RewriteSystem, complete
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -401,15 +402,38 @@ def test_word_level_results_are_int():
 
 
 def test_monic_brings_fraction_in():
+    # monic() keeps whole coefficients int; only the others become Fraction
     one = ConfPoly.from_word(A, 2).monic()
-    assert one.terms == {A: Fraction(1)} and type(one.terms[A]) is Fraction
+    assert one.terms == {A: 1} and type(one.terms[A]) is int
     e = eng()
     u = e.mul_words(A, (0, 0), A)
     p = 2 * u - ConfPoly.from_word(A)
     _assert_int_coefficients(p, "2u - v")
     rule = RewriteSystem(e, [p]).rules[0].poly
-    assert rule.terms == {word2((0, 0)): Fraction(1), A: Fraction(-1, 2)}
-    assert all(type(c) is Fraction for c in rule.terms.values())
+    assert rule.terms == {word2((0, 0)): 1, A: Fraction(-1, 2)}
+    assert type(rule.terms[word2((0, 0))]) is int and type(rule.terms[A]) is Fraction
+
+
+def _whole_fractions(polys):
+    return [c for p in polys for c in p.terms.values()
+            if type(c) is not int and (type(c) is not Fraction or c.denominator == 1)]
+
+
+def test_whole_coefficients_stay_int():
+    e = eng(check=False)
+    user = e.normalize([(Fraction(4, 2), Leaf(0, (0, 0))), (Fraction(1, 2), Leaf(0, (1, 0)))])
+    assert user.terms == {A: 2, single_word(0, 2, (1, 0)): Fraction(1, 2)}
+    assert not _whole_fractions([user])
+    idem = Engine(AlgebraSignature(2, (3, 3), ("a",)))
+    system, status = complete(idem, [ConfPoly.from_word(word2((0, 0))) - ConfPoly.from_word(A)])
+    assert status == COMPLETE and len(system) == 17
+    assert all(type(c) is int for p in system.elements for c in p.terms.values())
+    sig = AlgebraSignature(2, (2, 2), ("x", "y", "z"))
+    relations = enveloping_presentation(lie_conformal(sig, {})).elements
+    system, status = complete(Engine(sig), relations, max_steps=800)
+    assert status == LIMIT_REACHED and len(system) == 197
+    assert any(type(c) is Fraction for p in system.elements for c in p.terms.values())
+    assert not _whole_fractions(relations + system.elements)
 
 
 def test_memo_values_survive_accumulation():

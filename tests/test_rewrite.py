@@ -22,6 +22,7 @@ from confgsb.rewrite import (
     RIGHT_MUL,
     Occurrence,
     RewriteSystem,
+    TraceStep,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -399,6 +400,185 @@ def test_interreduce_matches_rebuild_reference(case):
     assert system.elements == before  # interreduce leaves its input alone
 
 
+# -- the leading-word index and the heap reduction against references ----------
+
+
+def _find_occurrences_by_scan(system, word, exclude=frozenset()):
+    """Reference matcher: every rule tried at every position."""
+    out = []
+    wg = word.gens()
+    for e, rule in enumerate(system.rules):
+        if e in exclude:
+            continue
+        lead, lg, L = rule.lead, rule.lead_gens, rule.lead.length
+        if rule.dfree:
+            for p in range(len(word.links) - L + 1):
+                if wg[p:p + L] == lg and all(
+                        word.links[p + r][1] == lead.links[r][1] for r in range(L - 1)):
+                    out.append(Occurrence(e, p, False))
+        p = word.length - L
+        if p >= 0 and wg[p:] == lg and all(
+                word.links[p + r][1] == lead.links[r][1] for r in range(L - 1)):
+            dshift = tuple(a - b for a, b in zip(word.taild, lead.taild))
+            if all(c >= 0 for c in dshift):
+                out.append(Occurrence(e, p, True, dshift))
+    out.sort(key=lambda o: (o.pos, o.second, o.elem))
+    return out
+
+
+def _reduce_by_resort(system, p, exclude=frozenset(), rng=None):
+    """Reference reduction: every round re-sorts all terms and targets the
+    greatest word not yet found irreducible."""
+    remainder = p
+    steps = []
+    irreducible = set()
+    while True:
+        picked = None
+        for word in sorted(remainder.terms, key=NormalWord.weight_key, reverse=True):
+            if word in irreducible:
+                continue
+            occs = system.find_occurrences(word, exclude)
+            if occs:
+                picked = (word, occs)
+                break
+            irreducible.add(word)
+        if picked is None:
+            return remainder, steps
+        word, occs = picked
+        occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
+        coeff = remainder.coeff(word)
+        remainder = remainder.add_scaled(system.build_sword(word, occ), -coeff)
+        steps.append(TraceStep(word, occ, coeff))
+
+
+def _count_lookups(system):
+    """Record the words ``system.reduce`` looks up, in order."""
+    looked_up = []
+    find = system.find_occurrences
+
+    def counted(word, exclude=frozenset()):
+        looked_up.append(word)
+        return find(word, exclude)
+
+    system.find_occurrences = counted
+    return looked_up
+
+
+def _seeded_words(system, rng, count):
+    """Random words of the system's signature, half of them built around a
+    rule's leading word so that matches are frequent."""
+    sig = system.sig
+    ngens = len(sig.generators)
+    labels = list(iter_box(sig.locality))
+
+    def links(k):
+        return tuple((rng.randrange(ngens), rng.choice(labels)) for _ in range(k))
+
+    def taild():
+        return tuple(rng.randrange(3) for _ in range(sig.n))
+
+    out = []
+    for _ in range(count):
+        if not system.rules or rng.random() < 0.5:
+            out.append(NormalWord(links(rng.randrange(5)), rng.randrange(ngens), taild()))
+            continue
+        lead = rng.choice(system.rules).lead
+        before = links(rng.randrange(3))
+        if rng.random() < 0.5:
+            # an interior copy: a link follows the lead
+            after = links(rng.randrange(2))
+            joint = ((lead.tail, rng.choice(labels)),)
+            out.append(NormalWord(before + lead.links + joint + after,
+                                  rng.randrange(ngens), taild()))
+        else:
+            # a suffix copy, its tail derivation at or above the lead's
+            out.append(NormalWord(before + lead.links, lead.tail,
+                                  tuple(c + rng.randrange(2) for c in lead.taild)))
+    return out
+
+
+def _seeded_poly(words, rng):
+    p = ConfPoly.zero()
+    for word in rng.sample(words, rng.randrange(1, 5)):
+        p = p.add_scaled(ConfPoly.from_word(word),
+                         rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]))
+    return p
+
+
+def _assert_matches_references(system, seed, count=60):
+    rng = random.Random(seed)
+    words = _seeded_words(system, rng, count)
+    size = len(system)
+    excludes = [frozenset(), frozenset(rng.sample(range(size), min(size, 3))),
+                frozenset(range(0, size, 2))]
+    hits = 0
+    for word in words:
+        for exclude in excludes:
+            got = system.find_occurrences(word, exclude)
+            assert got == _find_occurrences_by_scan(system, word, exclude), (word, exclude)
+            hits += bool(got)
+    assert hits  # the seeded words do meet the leading words
+    for k in range(count // 4):
+        p = _seeded_poly(words, rng)
+        exclude = excludes[k % len(excludes)]
+        for choice in (None, k):
+            looked_up = _count_lookups(system)
+            remainder, trace = system.reduce(
+                p, exclude, rng=None if choice is None else random.Random(choice))
+            heap_lookups = list(looked_up)
+            looked_up.clear()
+            ref_remainder, ref_steps = _reduce_by_resort(
+                system, p, exclude, rng=None if choice is None else random.Random(choice))
+            del system.find_occurrences
+            assert remainder == ref_remainder
+            assert list(remainder.terms) == list(ref_remainder.terms)
+            assert list(trace.steps) == ref_steps
+            assert heap_lookups == looked_up
+
+
+def _completed_idempotent33():
+    eng = Engine(AlgebraSignature(2, (3, 3), ("a",)))
+    system, status = complete(eng, [ConfPoly.from_word(w((0, 0))) - mono()])
+    assert status == COMPLETE and len(system) == 17
+    return system
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope"])
+def test_index_and_heap_match_references(case):
+    if case == "golden":
+        system = golden_system()
+    elif case == "idempotent33":
+        system = _completed_idempotent33()
+    else:
+        system = RewriteSystem(*_abelian_envelope_relations()).interreduce()
+        assert not all(rule.dfree for rule in system.rules)
+    _assert_matches_references(system, seed=len(system))
+    # rules appended to a system whose index is already built
+    if case == "abelian-envelope":
+        more = _abelian_envelope_relations()[1][:6]
+    else:
+        more = [mono((1, 0), (0, 0)) - mono((0, 1)), mono((0, 1), (1, 1), (0, 0)), F + G]
+    for p in more:
+        system._append(p)
+    _assert_matches_references(system, seed=3)
+
+
+def test_index_follows_interreduce_deletions_and_replacements():
+    system = RewriteSystem(ENG, [F, F + G, G, H + mono((0, 0)), P - 2 * F, S])
+    _assert_matches_references(system, seed=5)  # builds the index before the changes
+    reduced = system.interreduce()
+    assert len(reduced) == 5  # F + G is deleted
+    assert reduced.elements[2:4] == [H + mono(), P]  # two replacements
+    _assert_matches_references(reduced, seed=6)
+    _assert_matches_references(system, seed=7)  # the input keeps its own index
+    eng, relations = _abelian_envelope_relations()
+    system = RewriteSystem(eng, relations + [2 * r for r in relations[::4]])
+    reduced = system.interreduce()
+    assert len(reduced) == len(relations)  # the doubled copies are deleted
+    assert reduced.elements != RewriteSystem(eng, relations).elements  # replacements
+    _assert_matches_references(reduced, seed=8)
+
+
 # -- completion ----------------------------------------------------------------
 
 
@@ -516,9 +696,25 @@ def test_invalid_input_rejected_under_optimize():
     script = """
 from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, complete,
                      lie_conformal, single_word)
+from confgsb.rewrite import RIGHT_INCLUSION, CompositionTask, Occurrence, Rule
+from confgsb.words import NormalWord
 eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
 xy = AlgebraSignature(2, (1, 1), ("x", "y"))
 rejected = []
+# a system whose rule claims a lead that is not its polynomial's leading word
+a = single_word(0, 2)
+f = ConfPoly.from_word(NormalWord(((0, (0, 0)),), 0, (0, 0))) - ConfPoly.from_word(a)
+bad = RewriteSystem(eng, [f])
+wrong = NormalWord(((0, (1, 0)),), 0, (0, 0))
+bad.rules[0] = Rule(f, wrong, wrong.gens(), True)
+for attempt in (lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
+                                        Occurrence(0, 0, False)),
+                lambda: bad.eval_composition(CompositionTask(
+                    RIGHT_INCLUSION, 0, 0, w=wrong, alpha=(0, 0), beta=(0, 0)))):
+    try:
+        attempt()
+    except RuntimeError as exc:
+        rejected.append(str(exc))
 for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
                 lambda: complete(eng, [], max_degree=0),
                 lambda: complete(eng, [], max_elements=0),
@@ -538,11 +734,12 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "8"
-    assert "nonzero" in lines[1]
-    assert [line.split()[0] for line in lines[2:5]] == [
+    assert lines[0] == "10"
+    assert all(line.startswith("leading-word law violated") for line in lines[1:3])
+    assert "nonzero" in lines[3]
+    assert [line.split()[0] for line in lines[4:7]] == [
         "max_degree", "max_elements", "max_steps"]
-    assert lines[5].startswith("locality")
-    assert lines[6].startswith("leaf generator 3")
-    assert "outside the validity box" in lines[7]
-    assert "not a derived generator" in lines[8]
+    assert lines[7].startswith("locality")
+    assert lines[8].startswith("leaf generator 3")
+    assert "outside the validity box" in lines[9]
+    assert "not a derived generator" in lines[10]

@@ -1,5 +1,8 @@
 """Normal words, the weight well-order, and sparse polynomial arithmetic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,3 +184,23 @@ def test_tree_helpers():
     assert tree_grade(t, 1) == 0
     assert not tree_is_dfree(t)
     assert tree_is_dfree(Node(Leaf(0, (0, 0)), (1, 1), Leaf(1, (0, 0))))
+
+
+def test_reimport_frees_the_old_module():
+    # a module-level type alias cached by ``typing`` would keep every
+    # imported copy of confgsb.words, classes and functions, alive
+    script = """
+import gc, sys, weakref
+import confgsb
+ref = weakref.ref(confgsb.words.NormalWord)
+for name in [m for m in sys.modules if m == "confgsb" or m.startswith("confgsb.")]:
+    del sys.modules[name]
+del confgsb
+import confgsb
+gc.collect()
+print("freed" if ref() is None else "alive")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "freed"
