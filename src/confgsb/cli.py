@@ -10,6 +10,7 @@ still carry the verdicts).  Exit codes: 0 success, 2 "not a basis" from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -74,6 +75,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="confgsb",

@@ -73,18 +73,6 @@ def bracket(g: LieAlgebraSpec, i: int, j: int) -> dict[int, Fraction]:
     return {}
 
 
-def _bracket_combo(g: LieAlgebraSpec, combo: dict[int, Fraction], j: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for l, c in combo.items():
-        for k, ck in bracket(g, l, j).items():
-            v = out.get(k, Fraction(0)) + c * ck
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
 def validate_lie(g: LieAlgebraSpec) -> bool:
     """Antisymmetry (stored mirrors and diagonal) plus Jacobi on all triples."""
     for (i, j), combo in g.brackets.items():
@@ -100,13 +88,8 @@ def validate_lie(g: LieAlgebraSpec) -> bool:
             for k in range(j):
                 total: dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    part = _bracket_combo(g, bracket(g, a, b), c)
-                    for l, v in part.items():
-                        nv = total.get(l, Fraction(0)) + v
-                        if nv:
-                            total[l] = nv
-                        else:
-                            total.pop(l, None)
+                    for l, v in bracket(g, a, b).items():
+                        accumulate(total, bracket(g, l, c), v)
                 if total:
                     return False
     return True
@@ -153,7 +136,8 @@ def lie_conformal(signature: AlgebraSignature, table) -> LieConformalSpec:
 def table_entry(L: LieConformalSpec, i: int, j: int, m: MultiIndex) -> ConfPoly:
     """Lie product a_i|m| a_j for i >= j; the diagonal is zero (the unique
     antisymmetry-consistent completion of an off-diagonal table)."""
-    assert i >= j, (i, j)
+    if i < j:
+        raise ValueError(f"table entries need i >= j, got i = {i}, j = {j}")
     if i == j:
         return ConfPoly.zero()
     return L.table.get((i, j, m), ConfPoly.zero())
@@ -166,7 +150,8 @@ def brace(engine: Engine, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
     """Skew transform sum_s (-1)^{|m+s|} (1/s!) D^s (gen<m+s> p), s over the
     box where m+s stays valid."""
     sig = engine.sig
-    assert sig.is_valid(m), m
+    if not sig.is_valid(m):
+        raise ValueError(f"brace label {m} is outside the validity box")
     out: dict = {}
     for s in iter_box(index_sub(sig.locality, m)):
         term = engine.mul_prefix_poly(gen, index_add(m, s), p)
@@ -202,7 +187,8 @@ def enveloping_presentation(L: LieConformalSpec, engine: Engine | None = None) -
     """
     if engine is None:
         engine = Engine(L.signature)
-    assert engine.sig == L.signature, "engine signature mismatch"
+    if engine.sig != L.signature:
+        raise ValueError("the engine's signature is not the Lie structure's")
     relations = []
     for i in range(len(L.signature.generators)):
         for j in range(i + 1):
@@ -286,5 +272,6 @@ def bracket_conformal(sig: AlgebraSignature, g: LieAlgebraSpec) -> LieConformalS
 def loop_conformal(g: LieAlgebraSpec, n: int) -> LieConformalSpec:
     """Loop Lie conformal structure of an ordinary Lie algebra: locality
     (1, ..., 1) and table entry (i, j, 0) = the bracket [a_i, a_j]."""
-    assert validate_lie(g), "bracket table fails antisymmetry or the Jacobi identity"
+    if not validate_lie(g):
+        raise ValueError("bracket table fails antisymmetry or the Jacobi identity")
     return bracket_conformal(AlgebraSignature(n, (1,) * n, g.basis), g)

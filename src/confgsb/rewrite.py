@@ -15,7 +15,6 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from itertools import count, product
-from operator import neg
 
 from .engine import Engine
 from .indices import (
@@ -132,11 +131,6 @@ class GSBReport:
     @property
     def is_gsb(self) -> bool:
         return not self.failures
-
-
-def _desc_key(w: NormalWord) -> tuple[int, ...]:
-    """Heap key that pops the greatest word first."""
-    return tuple(map(neg, w.weight_key()))
 
 
 def _labels_match(w: NormalWord, lead: NormalWord, p: int) -> bool:
@@ -276,17 +270,17 @@ class RewriteSystem:
 
         Targets the greatest reducible word each round and its first
         occurrence (leftmost position); pass ``rng`` to randomize the
-        choice among a word's occurrences instead.  Words are popped from
-        a max-heap, each once: an S-word adds only words below the one it
+        choice among a word's occurrences instead.  Pending words sit in
+        one list of ``weight_key()`` pairs, ascending, and are popped from
+        its end, each once: an S-word adds only words below the one it
         eliminates, so a popped word that is irreducible stays so.
         """
         terms = dict(p.terms)
-        heap = [(_desc_key(w), w) for w in terms]
-        heapq.heapify(heap)
+        pending = sorted(map(NormalWord.weight_key, terms))
         queued = set(terms)
         steps = []
-        while heap:
-            w = heapq.heappop(heap)[1]
+        while pending:
+            w = pending.pop()[1]
             coeff = terms.get(w)
             if coeff is None:
                 continue
@@ -299,7 +293,7 @@ class RewriteSystem:
             for u in sword.terms:
                 if u not in queued:
                     queued.add(u)
-                    heapq.heappush(heap, (_desc_key(u), u))
+                    insort(pending, u.weight_key())
             steps.append(TraceStep(w, occ, coeff))
         return ConfPoly._raw(terms), ReductionTrace(tuple(steps))
 

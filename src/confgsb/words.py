@@ -13,9 +13,11 @@ exact coefficients, ``int`` or ``Fraction``: the engine's closed forms
 and ``Fraction`` enters only where a user coefficient or a ``monic()``
 scaling is not a whole number: whole coefficients are kept as ``int``.
 
-Words are well-ordered by weight: length first, then the interleaved
-generator/label sequence left to right, then the tail generator, then the
-tail exponent.  Generators compare by declaration position (later = greater).
+Words are well-ordered by length first, then by generator and label left
+to right, then by the tail generator, then by the tail exponent: for words
+of one length that is the order of the ``(links, tail, taild)`` tuples, so
+``weight_key`` is just ``(len(links), word)``.  Generators compare by
+declaration position (later = greater).
 """
 
 from __future__ import annotations
@@ -94,15 +96,9 @@ class NormalWord(NamedTuple):
         """
         return self.link_sum(t) - self.taild[t]
 
-    def weight_key(self) -> tuple[int, ...]:
-        """Flattened weight tuple; tuple comparison realizes the word order."""
-        key = [self.length]
-        for g, m in self.links:
-            key.append(g)
-            key.extend(m)
-        key.append(self.tail)
-        key.extend(self.taild)
-        return tuple(key)
+    def weight_key(self) -> tuple[int, "NormalWord"]:
+        """``(len(links), word)``: its tuple comparison is the word order."""
+        return (len(self.links), self)
 
 
 def single_word(gen: int, n: int, taild: MultiIndex | None = None) -> NormalWord:

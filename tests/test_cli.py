@@ -277,6 +277,21 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(completed, capsys):
+    code, out, _ = run(capsys, "reduce", completed, "a<0,0> a<0,0> a", "--trace")
+    assert code == 0 and "trace (2 steps):" in out
+    code, out, _ = run(capsys, "reduce", completed, "a<0,0> a<0,0> a")
+    assert (code, out) == (0, "a\n")
+    code, out, _ = run(capsys, "complete", completed, "--max-degree", "zero")
+    assert (code, out) == (64, "")
+    code, out, _ = run(capsys, "check", completed)
+    assert (code, out) == (0, "basis: yes\n")
+
+
 def test_missing_file_exits_65(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/file.alg")
     assert (code, out) == (65, "")

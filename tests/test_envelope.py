@@ -138,7 +138,7 @@ def test_brace_value_with_derivation_tail():
 
 
 def test_brace_requires_valid_label():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         brace(ENG22, 0, (2, 0), ConfPoly.from_word(single_word(0, 2)))
 
 
@@ -237,7 +237,7 @@ def test_loop_solvable_presentation_is_gsb():
 
 def test_loop_conformal_rejects_invalid_lie():
     g = lie_algebra(("x", "y"), {(1, 0): ((0, 1),), (0, 1): ((0, 1),)})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         loop_conformal(g, 2)
 
 

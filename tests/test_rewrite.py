@@ -694,8 +694,9 @@ def test_zero_element_rejected():
 def test_invalid_input_rejected_under_optimize():
     # the checks must hold when ``python -O`` strips assert statements
     script = """
-from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, complete,
-                     lie_conformal, single_word)
+from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, brace, complete,
+                     enveloping_presentation, lie_algebra, lie_conformal, loop_conformal,
+                     single_word, table_entry)
 from confgsb.rewrite import RIGHT_INCLUSION, CompositionTask, Occurrence, Rule
 from confgsb.words import NormalWord
 eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
@@ -722,7 +723,12 @@ for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
                 lambda: AlgebraSignature(2, (2,), ("a", "a")),
                 lambda: eng.normalize_tree(Leaf(3, (0, 0))),
                 lambda: lie_conformal(xy, {(1, 0, (1, 0)): ConfPoly.from_word(single_word(0, 2))}),
-                lambda: lie_conformal(xy, {(1, 0, (0, 0)): ConfPoly.from_word(single_word(5, 2))})):
+                lambda: lie_conformal(xy, {(1, 0, (0, 0)): ConfPoly.from_word(single_word(5, 2))}),
+                lambda: table_entry(lie_conformal(xy, {}), 0, 1, (0, 0)),
+                lambda: brace(eng, 0, (2, 0), ConfPoly.from_word(a)),
+                lambda: enveloping_presentation(lie_conformal(xy, {}), eng),
+                lambda: loop_conformal(lie_algebra(("x", "y"), {(1, 0): ((0, 1),),
+                                                                (0, 1): ((0, 1),)}), 2)):
     try:
         attempt()
     except ValueError as exc:
@@ -734,7 +740,7 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "10"
+    assert lines[0] == "14"
     assert all(line.startswith("leading-word law violated") for line in lines[1:3])
     assert "nonzero" in lines[3]
     assert [line.split()[0] for line in lines[4:7]] == [
@@ -743,3 +749,7 @@ print(len(rejected), *rejected, sep="\\n")
     assert lines[8].startswith("leaf generator 3")
     assert "outside the validity box" in lines[9]
     assert "not a derived generator" in lines[10]
+    assert "need i >= j" in lines[11]
+    assert "brace label" in lines[12]
+    assert "signature" in lines[13]
+    assert "Jacobi" in lines[14]

@@ -1,6 +1,7 @@
 """Normal words, the weight well-order, and sparse polynomial arithmetic."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -98,6 +99,38 @@ def test_order_sorts_a_known_chain():
     assert sorted(chain, key=NormalWord.weight_key) == chain
 
 
+def _flat_key(u):
+    """Reference order: the length, then every generator and label entry
+    left to right, then the tail generator and tail exponent, flattened."""
+    key = [u.length]
+    for g, m in u.links:
+        key.append(g)
+        key.extend(m)
+    key.append(u.tail)
+    key.extend(u.taild)
+    return tuple(key)
+
+
+def _seeded_words(rng, n, count):
+    out = set()
+    while len(out) < count:
+        length = rng.randint(1, 5)
+        links = tuple((rng.randrange(3), tuple(rng.randrange(3) for _ in range(n)))
+                      for _ in range(length - 1))
+        out.add(NormalWord(links, rng.randrange(3), tuple(rng.randrange(3) for _ in range(n))))
+    return list(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_key_matches_flat_reference(n):
+    words = _seeded_words(random.Random(n), n, 150)
+    assert sorted(words, key=NormalWord.weight_key) == sorted(words, key=_flat_key)
+    for u in words:
+        for v in words:
+            ku, kv = _flat_key(u), _flat_key(v)
+            assert compare_words(u, v) == (ku > kv) - (ku < kv)
+
+
 def test_poly_construction_drops_zeros():
     u, v = single_word(0, 2), single_word(1, 2)
     p = ConfPoly({u: Fraction(2), v: Fraction(0)})
@@ -190,15 +223,19 @@ def test_reimport_frees_the_old_module():
     # a module-level type alias cached by ``typing`` would keep every
     # imported copy of confgsb.words, classes and functions, alive
     script = """
-import gc, sys, weakref
-import confgsb
+import gc, io, sys, weakref
+from contextlib import redirect_stderr
+import confgsb, confgsb.cli
+with redirect_stderr(io.StringIO()):
+    confgsb.cli.main([])  # builds and caches the parser
 ref = weakref.ref(confgsb.words.NormalWord)
+parser_ref = weakref.ref(confgsb.cli._ArgumentParser)
 for name in [m for m in sys.modules if m == "confgsb" or m.startswith("confgsb.")]:
     del sys.modules[name]
 del confgsb
 import confgsb
 gc.collect()
-print("freed" if ref() is None else "alive")
+print("freed" if ref() is None and parser_ref() is None else "alive")
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
