@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 
 from .engine import Engine
 from .indices import (
@@ -39,6 +39,7 @@ KIND_RANK = {
     LEFT_MUL: 3,
     RIGHT_MUL: 4,
 }
+KINDS = tuple(KIND_RANK)
 
 COMPLETE = "complete"
 BOUNDED_COMPLETE = "bounded-complete"
@@ -113,7 +114,34 @@ class CompositionTask:
     beta: MultiIndex | None = None
 
     def sort_key(self):
-        return (self.w.weight_key(), KIND_RANK[self.kind], self.i, self.j)
+        """``(len(w.links), w, kind rank, i, j, pos)``: the completion queue's key.
+
+        The word comes first, in the word order.  ``pos`` parts the
+        inclusion tasks of one pair, which share their word, so no two
+        tasks of one system share a key.  A queue entry is this key
+        followed by ``c, m, alpha, beta``; ``_task`` builds the task back.
+        """
+        return (len(self.w.links), self.w, KIND_RANK[self.kind], self.i, self.j, self.pos)
+
+
+def _task(entry: tuple) -> CompositionTask:
+    _, w, rank, i, j, pos, c, m, alpha, beta = entry
+    return CompositionTask(KINDS[rank], i, j, w, pos, c, m, alpha, beta)
+
+
+def _right_inclusion(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> tuple:
+    """The queue entry of the right inclusion of lead ``gj`` at suffix p of ``fi``,
+    tail derivations split minimally."""
+    alpha = index_pos_part(gj.taild, fi.taild)
+    beta = index_pos_part(fi.taild, gj.taild)
+    w = NormalWord(fi.links, fi.tail, index_add(fi.taild, alpha))
+    return (len(w.links), w, KIND_RANK[RIGHT_INCLUSION], i, j, p, 0, None, alpha, beta)
+
+
+def _intersection(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int, c: int) -> tuple:
+    """The queue entry of the suffix at p of ``fi`` overlapping the first c letters of ``gj``."""
+    w = NormalWord(fi.links + gj.links[c - 1:], gj.tail, gj.taild)
+    return (len(w.links), w, KIND_RANK[INTERSECTION], i, j, p, c, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -157,18 +185,31 @@ def _rule(p: ConfPoly) -> Rule:
 
 
 class _LeadIndex:
-    """The rules of a system keyed on their leading words' (links, tail).
+    """The rules of a system keyed on segments of their leading words.
 
-    ``interior`` lists the D-free rules, which alone match inside a word;
-    ``suffix`` lists every rule with its lead's tail derivation, for the
-    dshift check of a suffix match; ``lengths`` holds the distinct lead
-    lengths in ascending order.
+    A segment is keyed like a whole lead, on its links and the generator
+    after them: ``(links[p:p+L-1], links[p+L-1][0])`` for the L letters at
+    p when a link follows them, ``(links[p:], tail)`` for the suffix at p.
+
+    Matching looks a word's segments up among whole leads: ``interior``
+    lists the D-free rules, which alone match inside a word; ``suffix``
+    lists every rule with its lead's tail derivation, for the dshift check
+    of a suffix match; ``lengths`` holds the distinct lead lengths in
+    ascending order.  Completion asks the reverse, which leads hold a
+    given segment: ``segments`` lists (rule, p) for every interior segment
+    of every lead, ``suffixes`` (rule, p) for every suffix, the whole lead
+    (p = 0) included, and ``prefixes`` the rules for every proper prefix.
+    These three are built on first use (``_with_segments``), since
+    ``interreduce`` rebuilds the index after every change and only matches.
     """
 
     def __init__(self, rules: list[Rule]):
         self.interior: dict[tuple, list[int]] = {}
         self.suffix: dict[tuple, list[tuple[int, MultiIndex]]] = {}
         self.lengths: list[int] = []
+        self.segments: dict[tuple, list[tuple[int, int]]] | None = None
+        self.suffixes: dict[tuple, list[tuple[int, int]]] = {}
+        self.prefixes: dict[tuple, list[int]] = {}
         for e, rule in enumerate(rules):
             self._add(e, rule)
 
@@ -180,6 +221,25 @@ class _LeadIndex:
         self.suffix.setdefault(key, []).append((e, lead.taild))
         if lead.length not in self.lengths:
             insort(self.lengths, lead.length)
+        if self.segments is not None:
+            self._add_segments(e, lead)
+
+    def _add_segments(self, e: int, lead: NormalWord) -> None:
+        links, tail = lead.links, lead.tail
+        for p in range(len(links) + 1):
+            self.suffixes.setdefault((links[p:], tail), []).append((e, p))
+            for q in range(p, len(links)):
+                segment = (links[p:q], links[q][0])
+                self.segments.setdefault(segment, []).append((e, p))
+                if p == 0:
+                    self.prefixes.setdefault(segment, []).append(e)
+
+    def _with_segments(self, rules: list[Rule]) -> "_LeadIndex":
+        if self.segments is None:
+            self.segments = {}
+            for e, rule in enumerate(rules):
+                self._add_segments(e, rule.lead)
+        return self
 
 
 class RewriteSystem:
@@ -208,6 +268,11 @@ class RewriteSystem:
             self._index._add(e, rule)
         return e
 
+    def _lead_index(self) -> _LeadIndex:
+        if self._index is None:
+            self._index = _LeadIndex(self.rules)
+        return self._index
+
     # -- occurrence matching ------------------------------------------------
 
     def find_occurrences(self, w: NormalWord, exclude: frozenset[int] = frozenset()) -> list[Occurrence]:
@@ -217,9 +282,7 @@ class RewriteSystem:
         index, so the cost grows with the word and the number of distinct
         lead lengths, not with the number of rules.
         """
-        index = self._index
-        if index is None:
-            index = self._index = _LeadIndex(self.rules)
+        index = self._lead_index()
         out = []
         links = w.links
         nlinks = len(links)
@@ -299,8 +362,59 @@ class RewriteSystem:
 
     # -- composition generation ----------------------------------------------
 
+    def _entries_for(self, k: int):
+        """Queue entries (see ``CompositionTask.sort_key``) for rule k: the
+        overlap tasks of the pairs (i, k) and (k, i) for every i < k and of
+        (k, k), then k's multiplication tasks.
+
+        The leading-word index names the overlapping leads, so only they are
+        visited; per pair the tasks are those of ``overlap_tasks``.
+        """
+        rules = self.rules
+        index = self._lead_index()._with_segments(rules)
+        rk = rules[k]
+        g = rk.lead
+        links, tail = g.links, g.tail
+        nl = len(links)
+        # k's lead inside an earlier lead: inclusion, right inclusion of k in i
+        if rk.dfree:
+            for i, p in index.segments.get((links, tail), ()):
+                if i < k:
+                    f = rules[i].lead
+                    yield (len(f.links), f, KIND_RANK[INCLUSION], i, k, p, 0, None, None, None)
+        for i, p in index.suffixes.get((links, tail), ()):
+            if i < k:
+                yield _right_inclusion(rules[i].lead, g, i, k, p)
+        # an earlier lead inside k's: inclusion, right inclusion of i in k
+        for L in index.lengths:
+            p = nl + 1 - L
+            if p < 0:
+                break
+            for q in range(p):
+                for i in index.interior.get((links[q:q + L - 1], links[q + L - 1][0]), ()):
+                    if i < k:
+                        yield (nl, g, KIND_RANK[INCLUSION], k, i, q, 0, None, None, None)
+            for i, _ in index.suffix.get((links[p:], tail), ()):
+                if i < k:
+                    yield _right_inclusion(g, rules[i].lead, k, i, p)
+        # a proper suffix of lead i (k itself included) is a prefix of k's
+        for c in range(1, nl + 1):
+            for i, p in index.suffixes.get((links[:c - 1], links[c - 1][0]), ()):
+                if p and i <= k and rules[i].dfree:
+                    yield _intersection(rules[i].lead, g, i, k, p, c)
+        # a proper suffix of k's lead is a prefix of an earlier lead
+        if rk.dfree:
+            for p in range(1, nl + 1):
+                c = nl + 1 - p
+                for i in index.prefixes.get((links[p:], tail), ()):
+                    if i < k:
+                        yield _intersection(g, rules[i].lead, k, i, p, c)
+        yield from self._multiplication_entries(k)
+
     def overlap_tasks(self, i: int, j: int) -> list[CompositionTask]:
-        """Inclusion, right-inclusion, and intersection tasks for the ordered pair."""
+        """Inclusion, right-inclusion, and intersection tasks for the ordered
+        pair, each pair tried at every position: the definition that the
+        index-driven ``_entries_for`` must agree with."""
         ri, rj = self.rules[i], self.rules[j]
         fi, gj = ri.lead, rj.lead
         fig, gjg = ri.lead_gens, rj.lead_gens
@@ -315,19 +429,14 @@ class RewriteSystem:
         p = lf - lg
         if (p >= 0 and fig[p:] == gjg and _labels_match(fi, gj, p)
                 and not (i == j and p == 0)):
-            alpha = index_pos_part(gj.taild, fi.taild)
-            beta = index_pos_part(fi.taild, gj.taild)
-            w = NormalWord(fi.links, fi.tail, index_add(fi.taild, alpha))
-            tasks.append(CompositionTask(RIGHT_INCLUSION, i, j, w=w, pos=p,
-                                         alpha=alpha, beta=beta))
+            tasks.append(_task(_right_inclusion(fi, gj, i, j, p)))
         # proper overlap of the i-suffix with the j-prefix
         if ri.dfree:
             for c in range(1, min(lf, lg)):
                 p = lf - c
                 if fig[p:] == gjg[:c] and all(
                         fi.links[p + r][1] == gj.links[r][1] for r in range(c - 1)):
-                    w = NormalWord(fi.links + gj.links[c - 1:], gj.tail, gj.taild)
-                    tasks.append(CompositionTask(INTERSECTION, i, j, w=w, pos=p, c=c))
+                    tasks.append(_task(_intersection(fi, gj, i, j, p, c)))
         return tasks
 
     def multiplication_bounds(self, p: ConfPoly) -> MultiIndex:
@@ -353,41 +462,45 @@ class RewriteSystem:
             corner = tuple(bounds[r] if r == t else max(bounds[r] - 1, 0)
                            for r in range(self.sig.n))
             for g in range(len(self.sig.generators)):
-                left = self.engine.mul_prefix_poly(g, corner, p)
-                assert left.is_zero(), ("bound boundary (left)", corner, t)
+                if not self.engine.mul_prefix_poly(g, corner, p).is_zero():
+                    raise RuntimeError(f"bound boundary (left) does not vanish at {corner}")
                 unit = ConfPoly.from_word(single_word(g, self.sig.n))
-                right = self.engine.mul_poly(p, corner, unit)
-                assert right.is_zero(), ("bound boundary (right)", corner, t)
+                if not self.engine.mul_poly(p, corner, unit).is_zero():
+                    raise RuntimeError(f"bound boundary (right) does not vanish at {corner}")
 
-    def multiplication_tasks(self, i: int) -> list[CompositionTask]:
-        """Left products a<m>f for invalid m, and right products f<m>a for
-        non-D-free f, over the finite label box of the element."""
+    def _multiplication_entries(self, i: int):
         sig = self.sig
         rule = self.rules[i]
         bounds = self.multiplication_bounds(rule.poly)
         if self.engine.check:
             self._check_bound_boundary(rule.poly, bounds)
-        lead = rule.lead
-        tasks = []
+        links, tail, taild = rule.lead
+        size = len(links) + 1  # the links of every product word
+        gens = range(len(sig.generators))
         for m in iter_box(bounds):
             valid = sig.is_valid(m)
-            for g in range(len(sig.generators)):
+            for g in gens:
                 if not valid:
-                    w = NormalWord(((g, m),) + lead.links, lead.tail, lead.taild)
-                    tasks.append(CompositionTask(LEFT_MUL, i, g, w=w, m=m))
+                    w = NormalWord(((g, m),) + links, tail, taild)
+                    yield (size, w, KIND_RANK[LEFT_MUL], i, g, 0, 0, m, None, None)
                 if not rule.dfree:
-                    w = NormalWord(lead.links + ((lead.tail, m),), g, lead.taild)
-                    tasks.append(CompositionTask(RIGHT_MUL, i, g, w=w, m=m))
-        return tasks
+                    w = NormalWord(links + ((tail, m),), g, taild)
+                    yield (size, w, KIND_RANK[RIGHT_MUL], i, g, 0, 0, m, None, None)
+
+    def multiplication_tasks(self, i: int) -> list[CompositionTask]:
+        """Left products a<m>f for invalid m, and right products f<m>a for
+        non-D-free f, over the finite label box of the element."""
+        return [_task(e) for e in self._multiplication_entries(i)]
 
     def all_tasks(self) -> list[CompositionTask]:
-        tasks = []
-        for i in range(len(self)):
-            for j in range(len(self)):
-                tasks.extend(self.overlap_tasks(i, j))
-        for i in range(len(self)):
-            tasks.extend(self.multiplication_tasks(i))
-        return tasks
+        """Every composition task: the overlap tasks by (i, j, kind, c, pos),
+        then the multiplication tasks of each element in turn."""
+        overlaps, products = [], []
+        for k in range(len(self)):
+            for e in self._entries_for(k):
+                (overlaps if e[2] < KIND_RANK[LEFT_MUL] else products).append(e)
+        overlaps.sort(key=lambda e: (e[3], e[4], e[2], e[6], e[5]))
+        return [_task(e) for e in overlaps + products]
 
     # -- composition evaluation ----------------------------------------------
 
@@ -492,6 +605,12 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     BOUNDED_COMPLETE (queue exhausted, but remainders above max_degree were
     discarded), or LIMIT_REACHED (max_elements or max_steps tripped).
     The output is interreduced; the run is deterministic.
+
+    The queue holds plain tuples: a task's ``sort_key()`` (word, kind rank,
+    i, j, pos, unique within a system) and then its other fields, so tasks
+    pop in word order and a ``CompositionTask`` is built only when popped.
+    Each new element's tasks come from ``_entries_for``, which asks the
+    leading-word index for the leads that overlap it.
     """
     for name, bound in (("max_degree", max_degree),
                         ("max_elements", max_elements),
@@ -500,25 +619,8 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
             raise ValueError(f"{name} must be a positive integer")
 
     system = RewriteSystem(engine, elements).interreduce()
-    heap: list = []
-    seq = count()
-
-    def push(task: CompositionTask) -> None:
-        heapq.heappush(heap, (*task.sort_key(), next(seq), task))
-
-    def push_for(k: int) -> None:
-        for i in range(k):
-            for task in system.overlap_tasks(i, k):
-                push(task)
-            for task in system.overlap_tasks(k, i):
-                push(task)
-        for task in system.overlap_tasks(k, k):
-            push(task)
-        for task in system.multiplication_tasks(k):
-            push(task)
-
-    for k in range(len(system)):
-        push_for(k)
+    heap = [e for k in range(len(system)) for e in system._entries_for(k)]
+    heapq.heapify(heap)
 
     steps = 0
     discarded = False
@@ -527,8 +629,7 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
         if max_steps is not None and steps >= max_steps:
             status = LIMIT_REACHED
             break
-        entry = heapq.heappop(heap)
-        task = entry[-1]
+        task = _task(heapq.heappop(heap))
         steps += 1
         remainder, _ = system.reduce(system.eval_composition(task))
         if remainder.is_zero():
@@ -539,7 +640,8 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
         if max_elements is not None and len(system) >= max_elements:
             status = LIMIT_REACHED
             break
-        push_for(system._append(remainder))
+        for entry in system._entries_for(system._append(remainder)):
+            heapq.heappush(heap, entry)
     if status == COMPLETE and discarded:
         status = BOUNDED_COMPLETE
     return system.interreduce(), status

@@ -1,21 +1,25 @@
 """Occurrence matching, reduction traces, compositions, and completion."""
 
+import heapq
+import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from confgsb.engine import Engine
-from confgsb.envelope import lie_conformal, lie_relation
+from confgsb.envelope import enveloping_presentation, lie_conformal, lie_relation
 from confgsb.indices import iter_box
 from confgsb.rewrite import (
     BOUNDED_COMPLETE,
     COMPLETE,
     INCLUSION,
     INTERSECTION,
+    KIND_RANK,
     LEFT_MUL,
     LIMIT_REACHED,
     RIGHT_INCLUSION,
@@ -23,6 +27,7 @@ from confgsb.rewrite import (
     Occurrence,
     RewriteSystem,
     TraceStep,
+    _task,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -579,6 +584,167 @@ def test_index_follows_interreduce_deletions_and_replacements():
     _assert_matches_references(reduced, seed=8)
 
 
+# -- the index-driven task generator and queue against the per-pair loop --------
+
+
+def _push_for_by_pairs(system, k):
+    """Reference generator: rule k tried against itself and every earlier
+    rule, both ways, by ``overlap_tasks``, then k's products."""
+    for i in range(k):
+        yield from system.overlap_tasks(i, k)
+        yield from system.overlap_tasks(k, i)
+    yield from system.overlap_tasks(k, k)
+    yield from system.multiplication_tasks(k)
+
+
+def _all_tasks_by_pairs(system):
+    """Reference ``all_tasks``: every ordered pair in turn, then the products."""
+    size = range(len(system))
+    return ([t for i in size for j in size for t in system.overlap_tasks(i, j)]
+            + [t for i in size for t in system.multiplication_tasks(i)])
+
+
+def _complete_by_pairs(engine, elements, max_steps):
+    """Reference completion: the per-pair generator and a queue of tasks
+    ordered by (word, kind rank, i, j) and then push order.  Returns the
+    completion's system and status, and the tasks pushed and popped."""
+    system = RewriteSystem(engine, elements).interreduce()
+    heap, pushed, popped = [], [], []
+    seq = itertools.count()
+
+    def push_for(k):
+        for task in _push_for_by_pairs(system, k):
+            pushed.append(task)
+            key = (task.w.weight_key(), KIND_RANK[task.kind], task.i, task.j, next(seq))
+            heapq.heappush(heap, (*key, task))
+
+    for k in range(len(system)):
+        push_for(k)
+    status = COMPLETE
+    while heap:
+        if len(popped) >= max_steps:
+            status = LIMIT_REACHED
+            break
+        task = heapq.heappop(heap)[-1]
+        popped.append(task)
+        remainder, _ = system.reduce(system.eval_composition(task))
+        if not remainder.is_zero():
+            push_for(system._append(remainder))
+    return system.interreduce(), status, pushed, popped
+
+
+def _record_queue(monkeypatch):
+    """Record the queue entries ``complete`` draws and the tasks it pops."""
+    pushed, popped = [], []
+    entries_for = RewriteSystem._entries_for
+    evaluate = RewriteSystem.eval_composition
+
+    def recorded_entries(self, k):
+        for entry in entries_for(self, k):
+            pushed.append(entry)
+            yield entry
+
+    def recorded_eval(self, task):
+        popped.append(task)
+        return evaluate(self, task)
+
+    monkeypatch.setattr(RewriteSystem, "_entries_for", recorded_entries)
+    monkeypatch.setattr(RewriteSystem, "eval_composition", recorded_eval)
+    return pushed, popped
+
+
+def _assert_unique_keys(entries):
+    keys = [entry[:6] for entry in entries]
+    assert len(set(keys)) == len(keys)
+    assert all(_task(entry).sort_key() == key for entry, key in zip(entries, keys))
+    return keys
+
+
+def _assert_entries_match_pairs(system):
+    """The generator gives the per-pair loop's tasks, each once, under
+    unique heap keys; ``all_tasks`` keeps the per-pair order."""
+    entries = [entry for k in range(len(system)) for entry in system._entries_for(k)]
+    reference = [t for k in range(len(system)) for t in _push_for_by_pairs(system, k)]
+    assert Counter(map(_task, entries)) == Counter(reference)
+    assert system.all_tasks() == _all_tasks_by_pairs(system)
+    return _assert_unique_keys(entries), {t.kind for t in reference}
+
+
+def _crafted_inclusions():
+    """Leads that hold each other at several positions, both ways round,
+    and with tail derivations: the interreduced cases have no inclusion."""
+    return RewriteSystem(ENG, [mono((0, 0), (0, 0), (0, 0)), F,
+                               mono((1, 0), (0, 0), (1, 0), (1, 0)), G,
+                               mono((1, 0), taild=(1, 0)) - mono(), mono(taild=(0, 1))])
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_entries_match_overlap_tasks(case):
+    if case == "golden":
+        system = golden_system()
+    elif case == "idempotent33":
+        system = _completed_idempotent33()
+    elif case == "abelian-envelope":
+        system = RewriteSystem(*_abelian_envelope_relations()).interreduce()
+    else:
+        system = _crafted_inclusions()
+    keys, kinds = _assert_entries_match_pairs(system)
+    if case == "crafted":
+        assert kinds == set(KIND_RANK)
+        # inclusions of one pair share their word: only ``pos`` parts them
+        assert len({key[:5] for key in keys}) < len(keys)
+    # rules appended once the index, with its segment maps, is built
+    if case == "abelian-envelope":
+        # y<1,1>x<0,0>z holds the D-free lead y<1,1>x; x lies inside most leads
+        words = [NormalWord(((1, (1, 1)), (0, (0, 0))), 2, (0, 0)),
+                 NormalWord(((0, (0, 0)),), 2, (0, 0)), NormalWord((), 0, (0, 0))]
+        more = _abelian_envelope_relations()[1][:6] + [ConfPoly.from_word(u) for u in words]
+    else:
+        more = [mono((1, 0), (0, 0)) - mono((0, 1)), mono((0, 1), (1, 1), (0, 0)), F + G,
+                mono((0, 0), (1, 0)), mono((0, 1), taild=(1, 1))]
+    for p in more:
+        system._append(p)
+    _, kinds = _assert_entries_match_pairs(system)
+    assert {INCLUSION, RIGHT_INCLUSION, INTERSECTION} <= kinds
+    _assert_entries_match_pairs(system.interreduce())
+
+
+def _workload_inputs(case):
+    if case == "abelian":
+        spec = lie_conformal(AlgebraSignature(2, (2, 2), ("x", "y", "z")), {})
+        presentation = enveloping_presentation(spec)
+        return presentation.engine, presentation.elements
+    eng = Engine(AlgebraSignature(2, (2, 2) if case == "golden" else (3, 3), ("a",)))
+    return eng, [ConfPoly.from_word(w((0, 0))) - mono()]
+
+
+@pytest.mark.parametrize("case, max_steps", [
+    ("golden", 10_000), ("idempotent33", 10_000), ("abelian", 800), ("abelian", 1600)])
+def test_complete_queue_matches_pairwise_reference(case, max_steps, monkeypatch):
+    eng, elements = _workload_inputs(case)
+    ref_system, ref_status, ref_pushed, ref_popped = _complete_by_pairs(
+        eng, elements, max_steps)
+    pushed, popped = _record_queue(monkeypatch)
+    system, status = complete(eng, elements, max_steps=max_steps)
+    assert status == ref_status
+    assert [list(p.terms.items()) for p in system.elements] == \
+        [list(p.terms.items()) for p in ref_system.elements]
+    assert popped == ref_popped
+    assert Counter(map(_task, pushed)) == Counter(ref_pushed)
+    _assert_unique_keys(pushed)
+
+
+@pytest.mark.parametrize("case, max_steps, counts", [
+    ("golden", 10_000, (60, 60)), ("idempotent33", 10_000, (486, 486)),
+    ("abelian", 800, (16763, 800))])
+def test_complete_work_is_pinned(case, max_steps, counts, monkeypatch):
+    # tasks pushed and popped on the benchmark's three completions
+    eng, elements = _workload_inputs(case)
+    pushed, popped = _record_queue(monkeypatch)
+    complete(eng, elements, max_steps=max_steps)
+    assert (len(pushed), len(popped)) == counts
+
+
 # -- completion ----------------------------------------------------------------
 
 
@@ -708,10 +874,14 @@ f = ConfPoly.from_word(NormalWord(((0, (0, 0)),), 0, (0, 0))) - ConfPoly.from_wo
 bad = RewriteSystem(eng, [f])
 wrong = NormalWord(((0, (1, 0)),), 0, (0, 0))
 bad.rules[0] = Rule(f, wrong, wrong.gens(), True)
+# an audited system whose label bounds are too small for its products to vanish
+small = RewriteSystem(Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True), [f])
+small.multiplication_bounds = lambda p: (1, 1)
 for attempt in (lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
                                         Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
-                    RIGHT_INCLUSION, 0, 0, w=wrong, alpha=(0, 0), beta=(0, 0)))):
+                    RIGHT_INCLUSION, 0, 0, w=wrong, alpha=(0, 0), beta=(0, 0))),
+                lambda: small.multiplication_tasks(0)):
     try:
         attempt()
     except RuntimeError as exc:
@@ -740,16 +910,17 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "14"
+    assert lines[0] == "15"
     assert all(line.startswith("leading-word law violated") for line in lines[1:3])
-    assert "nonzero" in lines[3]
-    assert [line.split()[0] for line in lines[4:7]] == [
+    assert lines[3].startswith("bound boundary (left)")
+    assert "nonzero" in lines[4]
+    assert [line.split()[0] for line in lines[5:8]] == [
         "max_degree", "max_elements", "max_steps"]
-    assert lines[7].startswith("locality")
-    assert lines[8].startswith("leaf generator 3")
-    assert "outside the validity box" in lines[9]
-    assert "not a derived generator" in lines[10]
-    assert "need i >= j" in lines[11]
-    assert "brace label" in lines[12]
-    assert "signature" in lines[13]
-    assert "Jacobi" in lines[14]
+    assert lines[8].startswith("locality")
+    assert lines[9].startswith("leaf generator 3")
+    assert "outside the validity box" in lines[10]
+    assert "not a derived generator" in lines[11]
+    assert "need i >= j" in lines[12]
+    assert "brace label" in lines[13]
+    assert "signature" in lines[14]
+    assert "Jacobi" in lines[15]
