@@ -5,14 +5,28 @@ to the canonical right-normed basis: words with valid labels and a trailing
 derivation exponent.  Unlike the reference evaluator in naive.py, the engine
 uses closed forms — falling-factorial products for derived left operands and
 a binomial "dodge" that trades an invalid label against the head pair of the
-right operand — and memoizes every word-level result on immutable keys.
+right operand.
+
+A product under a valid label only prepends a link, so it is written
+directly: it takes no memo entry, and the left-nested peel of mul_words,
+whose labels are all valid, builds its terms without accumulating (distinct
+peel terms start with distinct links).  The other word-level results (the
+dodge, mul_words, derive_word) are memoized on immutable keys.  The peel
+and the dodge read their (−1)^|s| C(m, s) weights from one per-label table,
+and prepended words are interned so that memo results share word objects.
 
 The three structural invariants (length preservation, grade conservation,
-D-free closure) can be asserted on every single operation by constructing
-the engine with check=True; invariant_checks counts how many audits ran.
+D-free closure) can be checked on every single operation by constructing
+the engine with check=True; invariant_checks counts how many audits ran,
+and each distinct word's length, grades and D-freeness are worked out once.
+An audit that fails raises RuntimeError.  With cache=False the engine keeps
+no per-input table at all: memos, weights, interned words and audit facts.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import add
 
 from .indices import (
     MultiIndex,
@@ -21,6 +35,7 @@ from .indices import (
     index_add,
     index_sub,
     iter_below,
+    iter_box,
     sign_of,
     unit_index,
 )
@@ -35,8 +50,12 @@ from .words import (
     accumulate,
     check_word,
     exact,
-    prepend_link,
 )
+
+
+def _keep(x, _):
+    # stands in for an intern table's setdefault when the engine caches nothing
+    return x
 
 
 class Engine:
@@ -52,14 +71,37 @@ class Engine:
         self.check = check
         self.cache = cache
         self.invariant_checks = 0
+        self._valid = frozenset(iter_box(sig.locality))
         self._prefix_memo: dict = {}
         self._words_memo: dict = {}
         self._derive_memo: dict = {}
+        self._weights_memo: dict = {}
+        self._interned: dict = {}
+        self._facts: dict = {}
+        self._intern = self._interned.setdefault if cache else _keep
 
     def memo_sizes(self) -> dict[str, int]:
-        """Entry counts of the three memos, by name (all zero with cache=False)."""
+        """Entry counts of every per-engine table that grows with the input.
+
+        ``prefix``, ``words`` and ``derive`` are the result memos (a product
+        under a valid label takes no entry), ``weights`` the per-label
+        binomial rows, ``intern`` the interned prepended words and ``facts``
+        the audited words (filled only with check=True).  All are zero with
+        cache=False.
+        """
         return {"prefix": len(self._prefix_memo), "words": len(self._words_memo),
-                "derive": len(self._derive_memo)}
+                "derive": len(self._derive_memo), "weights": len(self._weights_memo),
+                "intern": len(self._interned), "facts": len(self._facts)}
+
+    def _weights(self, m: MultiIndex) -> tuple:
+        """``(s, m − s, (−1)^|s| C(m, s))`` for every s ≤ m, s = 0 first."""
+        row = self._weights_memo.get(m)
+        if row is None:
+            row = tuple((s, index_sub(m, s), sign_of(s) * binom_multi(m, s))
+                        for s in iter_below(m))
+            if self.cache:
+                self._weights_memo[m] = row
+        return row
 
     # -- derivations ----------------------------------------------------
 
@@ -87,10 +129,9 @@ class Engine:
                 terms[NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)] = -m[t]
             out = ConfPoly._raw(terms)
         if self.check:
-            grades = tuple(
-                w.grade(r) - (1 if r == t else 0) for r in range(self.sig.n)
-            )
-            self._audit(out, w.length, grades, dfree=False)
+            length, grades, _ = self._word_facts(w)
+            self._audit(out, length, tuple(g - (r == t) for r, g in enumerate(grades)),
+                        dfree=False)
         if self.cache:
             self._derive_memo[key] = out
         return out
@@ -111,21 +152,24 @@ class Engine:
 
     def mul_prefix(self, gen: int, m: MultiIndex, w: NormalWord) -> ConfPoly:
         """Normal form of gen⟨m⟩[w] for a bare generator on the left."""
+        if m in self._valid:
+            x = NormalWord(((gen, m),) + w.links, w.tail, w.taild)
+            out = ConfPoly.from_word(self._intern(x, x))
+            if self.check:
+                self._audit_prefix(out, m, w)
+            return out
         key = (gen, m, w)
         hit = self._prefix_memo.get(key)
         if hit is not None:
             return hit
-        sig = self.sig
-        if sig.is_valid(m):
-            out = ConfPoly.from_word(prepend_link(gen, m, w))
-        elif w.length == 1:
+        if w.length == 1:
             if w.is_dfree():
                 out = ConfPoly.zero()  # two generators under an invalid label
             else:
                 # move one derivation across the product:
                 # g⟨m⟩(D_t y) = D_t(g⟨m⟩y) + m_t · g⟨m−e_t⟩y
                 t = next(k for k, c in enumerate(w.taild) if c)
-                e_t = unit_index(sig.n, t)
+                e_t = unit_index(self.sig.n, t)
                 y = NormalWord((), w.tail, index_sub(w.taild, e_t))
                 out = self.derive(t, self.mul_prefix(gen, m, y))
                 if m[t]:
@@ -134,27 +178,34 @@ class Engine:
         else:
             # invalid label against a longer word: gen⟨m⟩(head generator)
             # vanishes, so the expansion of that zero product can be solved
-            # for its s = 0 term — a dodge onto strictly smaller labels:
+            # for its s = 0 term (the first row of the table) — a dodge onto
+            # strictly smaller labels:
             # gen⟨m⟩w = −Σ_{s≠0} (−1)^|s| C(m,s) gen⟨m−s⟩(b⟨m′+s⟩v)
             (b, mp) = w.links[0]
             v = NormalWord(w.links[1:], w.tail, w.taild)
             terms: dict = {}
-            for s in iter_below(m):
-                if not any(s):
-                    continue
-                inner = self.mul_prefix(b, index_add(mp, s), v)
+            for s, ms, c in islice(self._weights(m), 1, None):
+                inner = self.mul_prefix(b, tuple(map(add, mp, s)), v)
                 if inner:
-                    accumulate(terms, self.mul_prefix_poly(gen, index_sub(m, s), inner).terms,
-                               -sign_of(s) * binom_multi(m, s))
+                    accumulate(terms, self.mul_prefix_poly(gen, ms, inner).terms, -c)
             out = ConfPoly._raw(terms)
         if self.check:
-            grades = tuple(m[r] + w.grade(r) for r in range(self.sig.n))
-            self._audit(out, 1 + w.length, grades, dfree=w.is_dfree())
+            self._audit_prefix(out, m, w)
         if self.cache:
             self._prefix_memo[key] = out
         return out
 
     def mul_prefix_poly(self, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
+        if m in self._valid:
+            # distinct words stay distinct under one prepended link
+            intern, link = self._intern, ((gen, m),)
+            terms = {}
+            for w, c in p.terms.items():
+                x = NormalWord(link + w.links, w.tail, w.taild)
+                terms[intern(x, x)] = c
+                if self.check:
+                    self._audit_prefix(ConfPoly.from_word(x), m, w)
+            return ConfPoly._raw(terms)
         out: dict = {}
         for w, c in p.terms.items():
             accumulate(out, self.mul_prefix(gen, m, w).terms, c)
@@ -178,21 +229,24 @@ class Engine:
         else:
             # peel the first link through the left-nested expansion:
             # (b⟨m1⟩u1)⟨m⟩v = Σ_s (−1)^|s| C(m1,s) b⟨m1−s⟩(u1⟨m+s⟩v)
+            # m1 − s is a valid label, so each term only prepends the link
+            # (b, m1 − s); distinct s give distinct links, so nothing meets.
             (b, m1) = u.links[0]
+            if m1 not in self._valid:
+                raise ValueError(f"{u} is not a normal word: label {m1} is not valid")
             u1 = NormalWord(u.links[1:], u.tail, u.taild)
+            intern = self._intern
             terms: dict = {}
-            for s in iter_below(m1):
-                inner = self.mul_words(u1, index_add(m, s), v)
-                if inner:
-                    accumulate(terms, self.mul_prefix_poly(b, index_sub(m1, s), inner).terms,
-                               sign_of(s) * binom_multi(m1, s))
+            for s, ms, c in self._weights(m1):
+                link = ((b, ms),)
+                for x, cx in self.mul_words(u1, tuple(map(add, m, s)), v).terms.items():
+                    x = NormalWord(link + x.links, x.tail, x.taild)
+                    terms[intern(x, x)] = c * cx
             out = ConfPoly._raw(terms)
         if self.check:
-            grades = tuple(
-                u.grade(r) + m[r] + v.grade(r) for r in range(self.sig.n)
-            )
-            self._audit(out, u.length + v.length, grades,
-                        dfree=u.is_dfree() and v.is_dfree())
+            ul, ug, ud = self._word_facts(u)
+            vl, vg, vd = self._word_facts(v)
+            self._audit(out, ul + vl, tuple(map(sum, zip(ug, m, vg))), ud and vd)
         if self.cache:
             self._words_memo[key] = out
         return out
@@ -228,13 +282,25 @@ class Engine:
 
     # -- invariant auditing ------------------------------------------------
 
+    def _word_facts(self, x: NormalWord) -> tuple[int, tuple[int, ...], bool]:
+        """``(length, grades, D-free)`` of a word, validated once per word."""
+        facts = self._facts.get(x)
+        if facts is None:
+            check_word(self.sig, x)
+            facts = (x.length, tuple(x.grade(t) for t in range(self.sig.n)), x.is_dfree())
+            if self.cache:
+                self._facts[x] = facts
+        return facts
+
+    def _audit_prefix(self, out: ConfPoly, m: MultiIndex, w: NormalWord) -> None:
+        length, grades, dfree = self._word_facts(w)
+        self._audit(out, 1 + length, tuple(map(add, m, grades)), dfree)
+
     def _audit(self, out: ConfPoly, length: int, grades: tuple[int, ...],
                dfree: bool) -> None:
         self.invariant_checks += 1
         for x in out.terms:
-            check_word(self.sig, x)
-            assert x.length == length, (x, length)
-            for t in range(self.sig.n):
-                assert x.grade(t) == grades[t], (x, t, grades)
-            if dfree:
-                assert x.is_dfree(), x
+            facts = self._word_facts(x)
+            if facts[0] != length or facts[1] != grades or (dfree and not facts[2]):
+                raise RuntimeError(f"engine audit: {x} has (length, grades, D-free) "
+                                   f"{facts}, expected {(length, grades, dfree)}")

@@ -110,12 +110,15 @@ def prepend_link(gen: int, m: MultiIndex, w: NormalWord) -> NormalWord:
 
 
 def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
-    """Validate a word against the signature (labels valid, gens in range)."""
-    for g, m in w.links:
-        assert 0 <= g < len(sig.generators), (g, sig.generators)
-        assert sig.is_valid(m), (m, sig.locality)
-    assert 0 <= w.tail < len(sig.generators), w.tail
-    assert len(w.taild) == sig.n and all(c >= 0 for c in w.taild), w.taild
+    """Validate a word against the signature (labels valid, gens in range).
+
+    Raises RuntimeError: the engine's audit (check=True) calls this on the
+    words it reads and produces, where a bad word is a broken invariant.
+    """
+    ngens = len(sig.generators)
+    if not (all(0 <= g < ngens and sig.is_valid(m) for g, m in w.links)
+            and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0):
+        raise RuntimeError(f"{w} is not a normal word over {sig}")
     return w
 
 

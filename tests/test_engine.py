@@ -14,7 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from confgsb.engine import Engine
 from confgsb.envelope import enveloping_presentation, lie_conformal
-from confgsb.indices import binom_multi, index_add, index_sub, iter_below, sign_of, unit_index
+from confgsb.indices import (
+    binom_multi,
+    falling_factorial,
+    index_add,
+    index_sub,
+    iter_below,
+    sign_of,
+    unit_index,
+)
 from confgsb.naive import naive_normalize
 from confgsb.rewrite import COMPLETE, LIMIT_REACHED, RewriteSystem, complete
 from confgsb.words import (
@@ -23,6 +31,8 @@ from confgsb.words import (
     Leaf,
     Node,
     NormalWord,
+    accumulate,
+    prepend_link,
     single_word,
     tree_is_dfree,
 )
@@ -84,6 +94,12 @@ def test_mul_words_derived_left_operand():
     dda = single_word(0, 2, (2, 1))
     # (−1)^3 · 2·1 · 1 · a⟨0,0⟩a from m = (2,1)
     assert e.mul_words(dda, (2, 1), A) == poly((-2, word2((0, 0))))
+
+
+def test_mul_words_rejects_an_invalid_left_label():
+    # the peel writes u's labels into the result, so they must be valid
+    with pytest.raises(ValueError, match="not a normal word"):
+        eng(check=False).mul_words(word2((2, 0)), (0, 0), A)
 
 
 def test_derive_word():
@@ -470,12 +486,153 @@ def test_engine_matches_naive_with_and_without_cache(cache):
 
 
 def test_memo_sizes():
+    # a product under a valid label takes no memo entry
     e = eng()
-    assert e.memo_sizes() == {"prefix": 0, "words": 0, "derive": 0}
+    assert set(e.memo_sizes().values()) == {0}
     e.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
     e.derive_word(0, word2((1, 1), (0, 1)))
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
-    assert e.memo_sizes() == {"prefix": 22, "words": 5, "derive": 3}
+    assert e.memo_sizes() == {"prefix": 20, "words": 5, "derive": 3,
+                              "weights": 7, "intern": 2, "facts": 12}
+    # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
     plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
-    assert plain.memo_sizes() == {"prefix": 0, "words": 0, "derive": 0}
+    plain.derive_word(0, word2((1, 1), (0, 1)))
+    plain.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
+    plain.mul_prefix_poly(0, (1, 0), ConfPoly.from_word(word2((1, 0))))
+    assert plain.invariant_checks > 0
+    assert set(plain.memo_sizes().values()) == {0}
+
+
+def test_prepended_words_are_interned():
+    e = eng(check=False)
+    ab = word2((1, 0), (0, 1))
+    once = e.mul_prefix(0, (1, 0), word2((0, 1)))
+    again = e.mul_prefix_poly(0, (1, 0), ConfPoly.from_word(word2((0, 1))))
+    [x], [y] = once.terms, again.terms
+    assert x == ab and x is y
+    assert e.memo_sizes()["intern"] == 1
+
+
+# --- the product kernel against its per-s reference ---------------------------
+
+
+class _ReferenceEngine(Engine):
+    """The engine's products term by term, as a reference for its kernel:
+    every term of the peel and of the dodge goes through ``mul_prefix``
+    (memoized, valid labels included) and ``accumulate``, with the weights
+    worked out per ``s``."""
+
+    def mul_prefix(self, gen, m, w):
+        key = (gen, m, w)
+        hit = self._prefix_memo.get(key)
+        if hit is not None:
+            return hit
+        sig = self.sig
+        if sig.is_valid(m):
+            out = ConfPoly.from_word(prepend_link(gen, m, w))
+        elif w.length == 1:
+            if w.is_dfree():
+                out = ConfPoly.zero()
+            else:
+                t = next(k for k, c in enumerate(w.taild) if c)
+                e_t = unit_index(sig.n, t)
+                y = NormalWord((), w.tail, index_sub(w.taild, e_t))
+                out = self.derive(t, self.mul_prefix(gen, m, y))
+                if m[t]:
+                    accumulate(out.terms, self.mul_prefix(gen, index_sub(m, e_t), y).terms, m[t])
+        else:
+            (b, mp) = w.links[0]
+            v = NormalWord(w.links[1:], w.tail, w.taild)
+            terms = {}
+            for s in iter_below(m):
+                if not any(s):
+                    continue
+                inner = self.mul_prefix(b, index_add(mp, s), v)
+                if inner:
+                    accumulate(terms, self.mul_prefix_poly(gen, index_sub(m, s), inner).terms,
+                               -sign_of(s) * binom_multi(m, s))
+            out = ConfPoly._raw(terms)
+        if self.check:
+            grades = tuple(m[r] + w.grade(r) for r in range(self.sig.n))
+            self._audit(out, 1 + w.length, grades, dfree=w.is_dfree())
+        if self.cache:
+            self._prefix_memo[key] = out
+        return out
+
+    def mul_prefix_poly(self, gen, m, p):
+        out = {}
+        for w, c in p.terms.items():
+            accumulate(out, self.mul_prefix(gen, m, w).terms, c)
+        return ConfPoly._raw(out)
+
+    def mul_words(self, u, m, v):
+        key = (u, m, v)
+        hit = self._words_memo.get(key)
+        if hit is not None:
+            return hit
+        if u.length == 1:
+            coeff = sign_of(u.taild)
+            for mt, it in zip(m, u.taild):
+                coeff *= falling_factorial(mt, it)
+            if coeff:
+                out = self.mul_prefix(u.tail, index_sub(m, u.taild), v) * coeff
+            else:
+                out = ConfPoly.zero()
+        else:
+            (b, m1) = u.links[0]
+            u1 = NormalWord(u.links[1:], u.tail, u.taild)
+            terms = {}
+            for s in iter_below(m1):
+                inner = self.mul_words(u1, index_add(m, s), v)
+                if inner:
+                    accumulate(terms, self.mul_prefix_poly(b, index_sub(m1, s), inner).terms,
+                               sign_of(s) * binom_multi(m1, s))
+            out = ConfPoly._raw(terms)
+        if self.check:
+            grades = tuple(u.grade(r) + m[r] + v.grade(r) for r in range(self.sig.n))
+            self._audit(out, u.length + v.length, grades, dfree=u.is_dfree() and v.is_dfree())
+        if self.cache:
+            self._words_memo[key] = out
+        return out
+
+
+def _same_terms(got, want, what):
+    assert list(got.terms.items()) == list(want.terms.items()), what
+    assert all(type(c) is int for c in got.terms.values()), what
+
+
+@pytest.mark.parametrize("cache, check", [(True, True), (False, True), (True, False)])
+def test_product_kernel_matches_reference(cache, check):
+    rng = random.Random(20261018)
+    for loc, gens in (((3,), ("a", "b")), ((2, 2), ("a", "b")), ((2, 1, 1), ("a", "b"))):
+        sig = AlgebraSignature(len(loc), loc, gens)
+        e = Engine(sig, check=check, cache=cache)
+        ref = _ReferenceEngine(sig, check=check, cache=cache)
+
+        def rand_word(most):
+            links = tuple((rng.randrange(len(gens)), tuple(rng.randrange(b) for b in loc))
+                          for _ in range(rng.randint(0, most)))
+            return NormalWord(links, rng.randrange(len(gens)),
+                              tuple(rng.randint(0, 1) for _ in loc))
+
+        def rand_valid():
+            return tuple(rng.randrange(b) for b in loc)
+
+        def rand_label():
+            # valid or up to one past the bound, so the dodge runs too
+            return tuple(rng.randint(0, b) for b in loc)
+
+        for _ in range(40):
+            u, v, w = rand_word(2), rand_word(1), rand_word(1)
+            m, mp, mv, g = rand_label(), rand_label(), rand_valid(), rng.randrange(len(gens))
+            what = (loc, u, m, v, mp, w)
+            uv = e.mul_words(u, m, v)
+            _same_terms(uv, ref.mul_words(u, m, v), what)
+            _same_terms(e.mul_prefix(g, m, w), ref.mul_prefix(g, m, w), what)
+            vw = e.mul_words(v, mp, w)
+            _same_terms(vw, ref.mul_words(v, mp, w), what)
+            _same_terms(e.mul_prefix_poly(g, m, vw), ref.mul_prefix_poly(g, m, vw), what)
+            p = e.mul_poly(uv, mp, ConfPoly.from_word(w))
+            _same_terms(p, ref.mul_poly(uv, mp, ConfPoly.from_word(w)), what)
+            _same_terms(e.mul_prefix_poly(g, mv, p), ref.mul_prefix_poly(g, mv, p), what)

@@ -877,7 +877,16 @@ bad.rules[0] = Rule(f, wrong, wrong.gens(), True)
 # an audited system whose label bounds are too small for its products to vanish
 small = RewriteSystem(Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True), [f])
 small.multiplication_bounds = lambda p: (1, 1)
-for attempt in (lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
+# audited engines whose bare-generator product is corrupted: one drops the
+# link (a word one letter short), one writes a label outside the locality box
+short = Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True)
+short.mul_prefix = lambda gen, m, w: ConfPoly.from_word(w)
+outside = Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True)
+outside.mul_prefix = lambda gen, m, w: ConfPoly.from_word(
+    NormalWord(((gen, (2, 0)),) + w.links, w.tail, w.taild))
+for attempt in (lambda: short.mul_words(a, (0, 0), a),
+                lambda: outside.mul_words(a, (0, 0), a),
+                lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
                                         Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
                     RIGHT_INCLUSION, 0, 0, w=wrong, alpha=(0, 0), beta=(0, 0))),
@@ -910,17 +919,19 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "15"
-    assert all(line.startswith("leading-word law violated") for line in lines[1:3])
-    assert lines[3].startswith("bound boundary (left)")
-    assert "nonzero" in lines[4]
-    assert [line.split()[0] for line in lines[5:8]] == [
+    assert lines[0] == "17"
+    assert lines[1].startswith("engine audit:") and "expected (2, (0, 0), True)" in lines[1]
+    assert "is not a normal word" in lines[2]
+    assert all(line.startswith("leading-word law violated") for line in lines[3:5])
+    assert lines[5].startswith("bound boundary (left)")
+    assert "nonzero" in lines[6]
+    assert [line.split()[0] for line in lines[7:10]] == [
         "max_degree", "max_elements", "max_steps"]
-    assert lines[8].startswith("locality")
-    assert lines[9].startswith("leaf generator 3")
-    assert "outside the validity box" in lines[10]
-    assert "not a derived generator" in lines[11]
-    assert "need i >= j" in lines[12]
-    assert "brace label" in lines[13]
-    assert "signature" in lines[14]
-    assert "Jacobi" in lines[15]
+    assert lines[10].startswith("locality")
+    assert lines[11].startswith("leaf generator 3")
+    assert "outside the validity box" in lines[12]
+    assert "not a derived generator" in lines[13]
+    assert "need i >= j" in lines[14]
+    assert "brace label" in lines[15]
+    assert "signature" in lines[16]
+    assert "Jacobi" in lines[17]

@@ -55,7 +55,7 @@ def test_word_accessors():
     assert prepend_link(1, (0, 0), u).length == 4
     assert single_word(1, 2).is_dfree()
     assert check_word(SIG, u) is u
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="not a normal word"):
         check_word(SIG, w((0, (2, 0)), tail=0))
 
 
