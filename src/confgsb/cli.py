@@ -5,6 +5,12 @@ grammar) plus arguments, and writes deterministic text — or JSON with
 ``--json`` — to stdout.  ``--quiet`` suppresses stdout entirely (exit codes
 still carry the verdicts).  Exit codes: 0 success, 2 "not a basis" from
 ``check``, 64 usage error, 65 unreadable or invalid input.
+
+One presentation load and one :class:`Engine` serve each invocation: ``main``
+reads the file and builds the engine, then calls the subcommand's handler
+(named by ``set_defaults(run=...)``) as ``run(args, pres, sig, engine)``.  A
+handler returns ``(code, result, lines, trace)``: the exit code, the JSON
+``result``, the text lines, and the JSON ``trace`` or None.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .engine import Engine
@@ -93,40 +98,42 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_ArgumentParser)
 
-    def command(name, summary):
+    def command(name, summary, run):
         p = sub.add_parser(name, parents=[common], help=summary, epilog=_OPERAND_NOTE)
         p.add_argument("file")
+        p.set_defaults(run=run)
         return p
 
-    p = command("normalize", "normal form of an expression")
+    p = command("normalize", "normal form of an expression", _cmd_normalize)
     p.add_argument("expr")
 
-    p = command("mul", "labelled product of two expressions")
+    p = command("mul", "labelled product of two expressions", _cmd_mul)
     p.add_argument("left")
     p.add_argument("label", help="product label, e.g. 1,0")
     p.add_argument("right")
 
-    p = command("reduce", "remainder modulo the file's relations")
+    p = command("reduce", "remainder modulo the file's relations", _cmd_reduce)
     p.add_argument("expr")
 
-    p = command("complete", "saturate the relations into a rewriting basis")
+    p = command("complete", "saturate the relations into a rewriting basis",
+                _cmd_complete)
     p.add_argument("--max-degree", type=_positive_int, default=None)
     p.add_argument("--max-elements", type=_positive_int, default=None)
     p.add_argument("--max-steps", type=_positive_int, default=None)
 
-    command("check", "test whether the relations form a rewriting basis")
+    command("check", "test whether the relations form a rewriting basis", _cmd_check)
 
-    p = command("basis", "irreducible words within bounds")
+    p = command("basis", "irreducible words within bounds", _cmd_basis)
     p.add_argument("--max-length", type=_positive_int, required=True)
     p.add_argument("--max-taild", default=None,
                    help="tail derivation bound: one integer or i1,...,in")
 
-    p = command("eq", "equality of two expressions modulo the relations")
+    p = command("eq", "equality of two expressions modulo the relations", _cmd_eq)
     p.add_argument("left")
     p.add_argument("right")
 
-    command("envelope", "enveloping presentation of a Lie structure")
-    command("halfpbw", "reduce the mixed compositions of a Lie envelope")
+    command("envelope", "enveloping presentation of a Lie structure", _cmd_envelope)
+    command("halfpbw", "reduce the mixed compositions of a Lie envelope", _cmd_halfpbw)
     return parser
 
 
@@ -144,7 +151,7 @@ def _load(path: str) -> Presentation:
 
 def _relations(pres: Presentation, engine: Engine) -> list[ConfPoly]:
     """The file's relations, normalized, with those that vanish dropped."""
-    polys = (engine.normalize(comb) for _, comb in pres.relation_combs())
+    polys = (engine.normalize(comb) for _, comb in pres.relations)
     return [p for p in polys if not p.is_zero()]
 
 
@@ -213,30 +220,21 @@ def _task_payload(sig, task):
 # -- command handlers -----------------------------------------------------------
 
 
-def _cmd_normalize(args):
-    pres = _load(args.file)
-    engine = Engine(pres.signature)
-    p = engine.normalize(parse_expression(pres.signature, args.expr))
-    text = format_polynomial(pres.signature, p)
-    return EX_OK, pres.signature, text, [text], None
+def _cmd_normalize(args, pres, sig, engine):
+    text = format_polynomial(sig, engine.normalize(parse_expression(sig, args.expr)))
+    return EX_OK, text, [text], None
 
 
-def _cmd_mul(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_mul(args, pres, sig, engine):
     left = engine.normalize(parse_expression(sig, args.left))
     right = engine.normalize(parse_expression(sig, args.right))
     m = parse_index(args.label, sig.n)
     p = engine.mul_poly(left, m, right)
     text = format_polynomial(sig, p)
-    return EX_OK, sig, text, [text], None
+    return EX_OK, text, [text], None
 
 
-def _cmd_reduce(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_reduce(args, pres, sig, engine):
     system = _system(pres, engine)
     p = engine.normalize(parse_expression(sig, args.expr))
     remainder, trace = system.reduce(p)
@@ -247,26 +245,20 @@ def _cmd_reduce(args):
     if args.trace:
         trace_out = _trace_payload(sig, trace)
         lines.extend(_trace_lines(sig, trace))
-    return EX_OK, sig, payload, lines, trace_out
+    return EX_OK, payload, lines, trace_out
 
 
-def _cmd_complete(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_complete(args, pres, sig, engine):
     system, status = complete(engine, _relations(pres, engine),
                               max_degree=args.max_degree,
                               max_elements=args.max_elements,
                               max_steps=args.max_steps)
     elements = [format_polynomial(sig, p) for p in system.elements]
     lines = [f"status: {status}"] + elements
-    return EX_OK, sig, {"status": status, "elements": elements}, lines, None
+    return EX_OK, {"status": status, "elements": elements}, lines, None
 
 
-def _cmd_check(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_check(args, pres, sig, engine):
     system = _system(pres, engine)
     report = system.check_gsb()
     failures = []
@@ -289,24 +281,18 @@ def _cmd_check(args):
         "failures": failures,
     }
     code = EX_OK if report.is_gsb else EX_NOT_BASIS
-    return code, sig, payload, lines, None
+    return code, payload, lines, None
 
 
-def _cmd_basis(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_basis(args, pres, sig, engine):
     system = _system(pres, engine)
     taild = _parse_taild(args.max_taild, sig.n)
     words = system.irreducible_words(args.max_length, taild)
     texts = [format_word(sig, w) for w in words]
-    return EX_OK, sig, texts, texts, None
+    return EX_OK, texts, texts, None
 
 
-def _cmd_eq(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    engine = Engine(sig)
+def _cmd_eq(args, pres, sig, engine):
     system = _system(pres, engine)
     left, ltrace = system.reduce(engine.normalize(parse_expression(sig, args.left)))
     right, rtrace = system.reduce(engine.normalize(parse_expression(sig, args.right)))
@@ -323,23 +309,17 @@ def _cmd_eq(args):
                      "right": _trace_payload(sig, rtrace)}
         lines.extend(["left " + line for line in _trace_lines(sig, ltrace)])
         lines.extend(["right " + line for line in _trace_lines(sig, rtrace)])
-    return EX_OK, sig, payload, lines, trace_out
+    return EX_OK, payload, lines, trace_out
 
 
-def _cmd_envelope(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    spec = _lie_spec(pres)
-    system = enveloping_presentation(spec, Engine(sig))
+def _cmd_envelope(args, pres, sig, engine):
+    system = enveloping_presentation(_lie_spec(pres), engine)
     elements = [format_polynomial(sig, p) for p in system.elements]
-    return EX_OK, sig, {"elements": elements}, elements, None
+    return EX_OK, {"elements": elements}, elements, None
 
 
-def _cmd_halfpbw(args):
-    pres = _load(args.file)
-    sig = pres.signature
-    spec = _lie_spec(pres)
-    report = half_pbw_check(spec, Engine(sig))
+def _cmd_halfpbw(args, pres, sig, engine):
+    report = half_pbw_check(_lie_spec(pres), engine)
     failures = []
     lines = [f"checked: {report.checked}",
              f"ok: {'yes' if report.ok else 'no'}"]
@@ -353,20 +333,7 @@ def _cmd_halfpbw(args):
             f"  - ({i}, {j}, {k}) labels <{format_index(m)}> <{format_index(mp)}>"
             f" -> {format_polynomial(sig, remainder)}")
     payload = {"checked": report.checked, "ok": report.ok, "failures": failures}
-    return EX_OK, sig, payload, lines, None
-
-
-_HANDLERS = {
-    "normalize": _cmd_normalize,
-    "mul": _cmd_mul,
-    "reduce": _cmd_reduce,
-    "complete": _cmd_complete,
-    "check": _cmd_check,
-    "basis": _cmd_basis,
-    "eq": _cmd_eq,
-    "envelope": _cmd_envelope,
-    "halfpbw": _cmd_halfpbw,
-}
+    return EX_OK, payload, lines, None
 
 
 def _signature_payload(sig):
@@ -381,7 +348,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
-        code, sig, result, lines, trace = _HANDLERS[args.command](args)
+        pres = _load(args.file)
+        sig = pres.signature
+        code, result, lines, trace = args.run(args, pres, sig, Engine(sig))
     except (ParseError, _DataError) as exc:
         print(f"confgsb: error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -61,6 +61,10 @@ def _keep(x, _):
 class Engine:
     """Normalization engine bound to one algebra signature.
 
+    Word operands must be normal words over the signature: generators in
+    range and every label inside the locality box.  They are trusted unless
+    check=True, which raises RuntimeError on one that is not.  The labels of
+    ``mul_words``' left operand are checked always (ValueError).
     check=True audits every produced polynomial against the structural
     invariants (cheap, but hot-loop callers may want it off).
     cache=False disables memoization; results must be identical either way.

@@ -31,7 +31,8 @@ def binom_multi(m: MultiIndex, s: MultiIndex) -> int:
 
 def falling_factorial(m: int, i: int) -> int:
     """m(m-1)...(m-i+1); 1 when i == 0, and 0 whenever 0 <= m < i."""
-    assert i >= 0, i
+    if i < 0:
+        raise ValueError(f"falling factorial of negative order {i}")
     out = 1
     for k in range(i):
         out *= m - k
@@ -57,14 +58,15 @@ def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 
 def index_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Componentwise difference; asserts the result stays nonnegative.
+    """Componentwise difference; ValueError if a coordinate goes negative.
 
     Negative labels/exponents never arise in the normalization formulas
     (binomial supports and falling-factorial zeros cut those branches first),
     so a negative here is always a bug upstream.
     """
     out = tuple(x - y for x, y in zip(a, b, strict=True))
-    assert all(c >= 0 for c in out), (a, b)
+    if min(out) < 0:
+        raise ValueError(f"negative index difference {a} - {b}")
     return out
 
 

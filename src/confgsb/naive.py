@@ -76,7 +76,8 @@ def _norm_tree(sig: AlgebraSignature, tree) -> Terms:
     if isinstance(tree, Leaf):
         w = NormalWord((), tree.gen, tuple(tree.dexp))
         return {w: Fraction(1)}
-    assert isinstance(tree, Node), tree
+    if not isinstance(tree, Node):
+        raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
     left = _norm_tree(sig, tree.left)
     right = _norm_tree(sig, tree.right)
     out: Terms = {}

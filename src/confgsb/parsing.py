@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .indices import MultiIndex
 from .words import (
@@ -336,23 +336,24 @@ def format_word(sig: AlgebraSignature, w: NormalWord) -> str:
     return " ".join(parts)
 
 
-def _signed_pieces(first: bool, coeff: Fraction, body: str) -> str:
-    mag = abs(coeff)
-    scale = "" if mag == 1 else f"{mag} "
-    if first:
-        return ("-" if coeff < 0 else "") + scale + body
-    return (" - " if coeff < 0 else " + ") + scale + body
+def _signed_sum(terms: Iterable[tuple[Fraction, str]], sep: str = " ") -> str:
+    """``c1 t1 - c2 t2 + ...`` over ``(coefficient, text)`` pairs, zero
+    terms dropped and unit magnitudes left out; ``sep`` joins a magnitude to
+    its text, and an empty sum prints ``0``."""
+    out = []
+    for coeff, body in terms:
+        if coeff:
+            mag = abs(coeff)
+            out += (" - " if coeff < 0 else " + ", body if mag == 1 else f"{mag}{sep}{body}")
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def format_polynomial(sig: AlgebraSignature, p: ConfPoly) -> str:
     """Canonical text: terms strictly descending, reduced rational coefficients."""
-    items = p.items_desc()
-    if not items:
-        return "0"
-    return "".join(
-        _signed_pieces(i == 0, coeff, format_word(sig, w))
-        for i, (w, coeff) in enumerate(items)
-    )
+    return _signed_sum((c, format_word(sig, w)) for w, c in p.items_desc())
 
 
 def _format_tree(sig: AlgebraSignature, tree: ExprTree) -> str:
@@ -370,29 +371,12 @@ def _format_tree(sig: AlgebraSignature, tree: ExprTree) -> str:
 
 def format_lincomb(sig: AlgebraSignature, comb) -> str:
     """Canonical text for a parsed (unnormalized) linear combination."""
-    terms = [(c, t) for c, t in comb if c]
-    if not terms:
-        return "0"
-    return "".join(
-        _signed_pieces(i == 0, coeff, _format_tree(sig, tree))
-        for i, (coeff, tree) in enumerate(terms)
-    )
+    return _signed_sum((c, _format_tree(sig, tree)) for c, tree in comb)
 
 
 def format_gen_combo(sig: AlgebraSignature, entries) -> str:
     """Canonical text for a bracket value: ``2*e - h`` over generators."""
-    terms = [(k, c) for k, c in entries if c]
-    if not terms:
-        return "0"
-    out = []
-    for i, (k, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        body = sig.generators[k] if mag == 1 else f"{mag}*{sig.generators[k]}"
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+    return _signed_sum(((c, sig.generators[k]) for k, c in entries), "*")
 
 
 # --------------------------------------------------------------------------
@@ -406,10 +390,6 @@ class Presentation:
     signature: AlgebraSignature
     relations: tuple[tuple[str, tuple[tuple[Fraction, ExprTree], ...]], ...]
     brackets: Optional[tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]]
-
-    def relation_combs(self) -> Iterator[tuple[str, LinComb]]:
-        for name, comb in self.relations:
-            yield name, list(comb)
 
     def canonical(self) -> str:
         sig = self.signature

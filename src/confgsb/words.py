@@ -198,7 +198,8 @@ class ConfPoly:
         return iter(self.items_desc())
 
     def leading_term(self) -> tuple[NormalWord, Coeff]:
-        assert self.terms, "leading term of the zero polynomial"
+        if not self.terms:
+            raise ValueError("leading term of the zero polynomial")
         w = max(self.terms, key=NormalWord.weight_key)
         return w, self.terms[w]
 

@@ -1,6 +1,7 @@
 """Command line front end: frozen outputs, exit codes, JSON schema."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -348,6 +349,7 @@ def test_module_invocation(golden):
     proc = subprocess.run(
         [sys.executable, "-m", "confgsb.cli", "eq", golden,
          "a<0,0> a<0,0> a", "a"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert proc.stdout == "equal\n"

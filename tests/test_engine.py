@@ -102,6 +102,19 @@ def test_mul_words_rejects_an_invalid_left_label():
         eng(check=False).mul_words(word2((2, 0)), (0, 0), A)
 
 
+@pytest.mark.parametrize("call", [
+    lambda e, w: e.mul_prefix(0, (0, 0), w),
+    lambda e, w: e.mul_prefix_poly(0, (0, 0), ConfPoly.from_word(w)),
+    lambda e, w: e.mul_words(A, (0, 0), w),
+    lambda e, w: e.derive_word(0, w),
+], ids=["mul_prefix", "mul_prefix_poly", "mul_words-right", "derive_word"])
+def test_audit_rejects_an_operand_outside_the_box(call):
+    # operands are trusted unless check=True, which rejects a right operand
+    # whose label lies outside the locality box
+    with pytest.raises(RuntimeError, match="is not a normal word"):
+        call(eng(), word2((2, 0)))
+
+
 def test_derive_word():
     e = eng()
     assert e.derive_word(0, A) == poly((1, single_word(0, 2, (1, 0))))

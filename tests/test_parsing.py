@@ -131,6 +131,10 @@ def test_format_polynomial_signs_and_fractions():
     p = (ConfPoly.from_word(NormalWord(((0, (1, 0)),), 0, (0, 0)), Fraction(-3, 2))
          + ConfPoly.from_word(NormalWord((), 0, (1, 0)), Fraction(1, 3)))
     assert format_polynomial(SIG, p) == "-3/2 a<1,0> a + 1/3 D{1,0} a"
+    aa, a = NormalWord(((0, (1, 0)),), 0, (0, 0)), NormalWord((), 0, (0, 0))
+    assert format_polynomial(SIG, ConfPoly({aa: 1, a: Fraction(-2)})) == "a<1,0> a - 2 a"
+    assert format_polynomial(SIG, ConfPoly({aa: 0, a: Fraction(-1, 2)})) == "-1/2 a"
+    assert format_polynomial(SIG, ConfPoly({aa: 0, a: Fraction(0)})) == "0"
 
 
 def test_format_word_tail_derivation():
@@ -144,6 +148,11 @@ def test_format_lincomb_parenthesizes_left_nesting():
     text = format_lincomb(SIG, comb)
     assert text == "(a<1,0> a)<1,0> a - 2 a<0,0> a<1,0> a"
     assert parse_expression(SIG, text) == comb
+    aa = Node(A, (0, 0), A)
+    mixed = [(Fraction(0), A), (Fraction(-1, 2), aa), (Fraction(0), aa), (Fraction(-2), A)]
+    assert format_lincomb(SIG, mixed) == "-1/2 a<0,0> a - 2 a"
+    assert format_lincomb(SIG, [(Fraction(0), A), (Fraction(0), aa)]) == "0"
+    assert format_lincomb(SIG, []) == "0"
 
 
 def test_format_gen_combo():
@@ -151,6 +160,10 @@ def test_format_gen_combo():
     assert format_gen_combo(sig, ((0, Fraction(-2)),)) == "-2*f"
     assert format_gen_combo(sig, ((1, Fraction(1)), (2, Fraction(1, 2)))) == "h + 1/2*e"
     assert format_gen_combo(sig, ()) == "0"
+    assert format_gen_combo(sig, ((1, Fraction(1)), (2, Fraction(-2)))) == "h - 2*e"
+    assert format_gen_combo(sig, ((0, Fraction(0)), (1, Fraction(-1, 3)),
+                                  (2, Fraction(-1)))) == "-1/3*h - e"
+    assert format_gen_combo(sig, ((0, Fraction(0)), (2, Fraction(0)))) == "0"
 
 
 # --- property: print-then-parse returns the polynomial -------------------------

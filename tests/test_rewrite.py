@@ -861,8 +861,9 @@ def test_invalid_input_rejected_under_optimize():
     # the checks must hold when ``python -O`` strips assert statements
     script = """
 from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, brace, complete,
-                     enveloping_presentation, lie_algebra, lie_conformal, loop_conformal,
-                     single_word, table_entry)
+                     enveloping_presentation, falling_factorial, index_sub, lie_algebra,
+                     lie_conformal, loop_conformal, single_word, table_entry)
+from confgsb.naive import naive_normalize
 from confgsb.rewrite import RIGHT_INCLUSION, CompositionTask, Occurrence, Rule
 from confgsb.words import NormalWord
 eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
@@ -907,7 +908,11 @@ for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
                 lambda: brace(eng, 0, (2, 0), ConfPoly.from_word(a)),
                 lambda: enveloping_presentation(lie_conformal(xy, {}), eng),
                 lambda: loop_conformal(lie_algebra(("x", "y"), {(1, 0): ((0, 1),),
-                                                                (0, 1): ((0, 1),)}), 2)):
+                                                                (0, 1): ((0, 1),)}), 2),
+                lambda: ConfPoly.zero().leading_term(),
+                lambda: index_sub((1, 0), (0, 1)),
+                lambda: falling_factorial(3, -1),
+                lambda: naive_normalize(eng.sig, [(1, "a")])):
     try:
         attempt()
     except ValueError as exc:
@@ -919,7 +924,7 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "17"
+    assert lines[0] == "21"
     assert lines[1].startswith("engine audit:") and "expected (2, (0, 0), True)" in lines[1]
     assert "is not a normal word" in lines[2]
     assert all(line.startswith("leading-word law violated") for line in lines[3:5])
@@ -935,3 +940,7 @@ print(len(rejected), *rejected, sep="\\n")
     assert "brace label" in lines[15]
     assert "signature" in lines[16]
     assert "Jacobi" in lines[17]
+    assert "zero polynomial" in lines[18]
+    assert "negative index difference" in lines[19]
+    assert "negative order" in lines[20]
+    assert "expected a Leaf or a Node" in lines[21]

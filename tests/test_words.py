@@ -161,7 +161,7 @@ def test_poly_leading_term_and_monic():
     assert p.degree() == 2
     m = p.monic()
     assert m.coeff(u) == 1 and m.coeff(v) == Fraction(-3, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ConfPoly.zero().leading_term()
     assert ConfPoly.zero().degree() == 0
 
