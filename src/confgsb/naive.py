@@ -61,7 +61,7 @@ def _first_positive(i) -> int:
     for t, it in enumerate(i):
         if it > 0:
             return t
-    raise AssertionError(f"no positive coordinate in {i}")
+    raise ValueError(f"no positive coordinate in {i}")
 
 
 def naive_normalize(sig: AlgebraSignature, comb: LinComb) -> Terms:
@@ -74,8 +74,11 @@ def naive_normalize(sig: AlgebraSignature, comb: LinComb) -> Terms:
 
 def _norm_tree(sig: AlgebraSignature, tree) -> Terms:
     if isinstance(tree, Leaf):
-        w = NormalWord((), tree.gen, tuple(tree.dexp))
-        return {w: Fraction(1)}
+        dexp = tuple(tree.dexp)
+        if tree.gen not in range(len(sig.generators)) or len(dexp) != sig.n or min(dexp) < 0:
+            raise ValueError(f"malformed leaf {tree!r} over {sig.n} coordinates "
+                             f"and {len(sig.generators)} generators")
+        return {NormalWord((), tree.gen, dexp): Fraction(1)}
     if not isinstance(tree, Node):
         raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
     left = _norm_tree(sig, tree.left)

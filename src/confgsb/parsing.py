@@ -79,7 +79,7 @@ class ParseError(ValueError):
 
 
 class _Token(NamedTuple):
-    kind: str  # "int", "name", or the punctuation text itself
+    kind: str  # "int", "name", "end", or the punctuation text itself
     text: str
     line: int
     col: int
@@ -91,18 +91,18 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct><|>|\{|\}|\(|\)|\[|\]|:|,|\+|-|\*|/)"
+    r"|(?P<bad>.)"
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
+    """The tokens of ``text``, closed by an ``end`` token that sits just
+    after the last real token, or at ``(line, col)`` when there is none."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    end = (line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         piece = m.group()
         if kind == "ws":
@@ -112,13 +112,14 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
                 col = len(piece) - piece.rfind("\n")
             else:
                 col += len(piece)
-        elif kind == "comment":
-            col += len(piece)
-        else:
-            tok_kind = piece if kind == "punct" else kind
-            out.append(_Token(tok_kind, piece, line, col))
-            col += len(piece)
-        pos = m.end()
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {piece!r}", line, col)
+        if kind != "comment":
+            out.append(_Token(piece if kind == "punct" else kind, piece, line, col))
+            end = (line, col + len(piece))
+        col += len(piece)
+    out.append(_Token("end", "", *end))
     return out
 
 
@@ -127,45 +128,40 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: AlgebraSignature,
-                 line: int, col: int):
-        self.tokens = tokens
+    def __init__(self, tokens: list[_Token], sig: AlgebraSignature):
+        self.tokens = tokens  # closed by an "end" token, which is never consumed
         self.sig = sig
         self.pos = 0
-        self.start = (line, col)  # where an empty input is reported
 
     # -- token plumbing --
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def _take(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            self._fail("unexpected end of input")
+    def _accept(self, *kinds: str) -> Optional[_Token]:
+        """Consume and return the next token if its kind is in ``kinds``."""
+        tok = self.tokens[self.pos]
+        if tok.kind not in kinds:
+            return None
         self.pos += 1
         return tok
 
     def _expect(self, kind: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            got = "end of input" if tok is None else repr(tok.text)
+        tok = self._accept(kind)
+        if tok is None:
+            tok = self._peek()
+            got = "end of input" if tok.kind == "end" else repr(tok.text)
             self._fail(f"expected {kind!r}, got {got}")
-        return self._take()
+        return tok
 
     def _fail(self, message: str):
         tok = self._peek()
-        if tok is not None:
-            raise ParseError(message, tok.line, tok.col)
-        if self.tokens:
-            last = self.tokens[-1]
-            raise ParseError(message, last.line, last.col + len(last.text))
-        raise ParseError(message, *self.start)
+        raise ParseError(message, tok.line, tok.col)
 
     def expect_end(self) -> None:
         tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if tok.kind != "end":
+            self._fail(f"unexpected trailing {tok.text!r}")
 
     # -- grammar --
 
@@ -174,54 +170,41 @@ class _Parser:
         grammar rule, a product by default."""
         body = body or _Parser.parse_product
         out: LinComb = []
-        sign = Fraction(1)
-        tok = self._peek()
-        if tok is not None and tok.kind in ("+", "-"):
-            self._take()
-            if tok.kind == "-":
-                sign = Fraction(-1)
+        tok = self._accept("+", "-")
         while True:
-            coeff = sign * self.parse_coeff()
+            coeff = self.parse_coeff()
+            if tok is not None and tok.kind == "-":
+                coeff = -coeff
             for c, tree in body(self):
                 out.append((coeff * c, tree))
-            tok = self._peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                break
-            self._take()
-            sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
-        return out
+            tok = self._accept("+", "-")
+            if tok is None:
+                return out
 
     def parse_coeff(self) -> Fraction:
         """An optional ``int``, ``int/int`` or either followed by ``*``."""
-        tok = self._peek()
-        if tok is None or tok.kind != "int":
+        tok = self._accept("int")
+        if tok is None:
             return Fraction(1)
-        self._take()
         coeff = Fraction(int(tok.text))
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "/":
-            self._take()
+        if self._accept("/"):
             den_tok = self._expect("int")
             if int(den_tok.text) == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.col)
             coeff /= int(den_tok.text)
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "*":
-            self._take()
+        self._accept("*")
         return coeff
 
     def parse_generator(self) -> LinComb:
         """A bare generator, without a derivation prefix or a product."""
-        tok = self._peek()
-        if tok is None or tok.kind != "name":
+        tok = self._accept("name")
+        if tok is None:
             self._fail("expected a generator")
-        self._take()
         return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
 
     def parse_product(self) -> LinComb:
         left = self.parse_atom()
-        tok = self._peek()
-        if tok is not None and tok.kind == "<":
+        if self._peek().kind == "<":
             m = self.parse_angle_index()
             right = self.parse_product()  # chains associate to the right
             return [
@@ -232,52 +215,37 @@ class _Parser:
         return left
 
     def parse_atom(self) -> LinComb:
-        tok = self._peek()
-        if tok is None:
-            self._fail("expected a generator or '('")
-        if tok.kind == "(":
-            self._take()
+        if self._accept("("):
             comb = self.parse_comb()
             self._expect(")")
             return comb
-        if tok.kind == "name":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if tok.text == "D" and nxt is not None and nxt.kind == "{":
-                self._take()
-                self._expect("{")
-                dexp = self.parse_index_list("}")
-                self._expect("}")
-                gen_tok = self._peek()
-                if gen_tok is None or gen_tok.kind != "name":
-                    self._fail("derivation prefix requires a generator")
-                self._take()
-                return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
-            self._take()
-            return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
-        self._fail("expected a generator or '('")
+        tok = self._accept("name")
+        if tok is None:
+            self._fail("expected a generator or '('")
+        if tok.text == "D" and self._accept("{"):
+            dexp = self.parse_index_list()
+            self._expect("}")
+            gen_tok = self._accept("name")
+            if gen_tok is None:
+                self._fail("derivation prefix requires a generator")
+            return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
+        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
 
     def parse_angle_index(self) -> MultiIndex:
         self._expect("<")
-        m = self.parse_index_list(">")
+        m = self.parse_index_list()
         self._expect(">")
         return m
 
-    def parse_index_list(self, closer: str) -> MultiIndex:
+    def parse_index_list(self) -> MultiIndex:
         open_tok = self._peek()
         entries = [int(self._expect("int").text)]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == ",":
-                self._take()
-                entries.append(int(self._expect("int").text))
-            else:
-                break
+        while self._accept(","):
+            entries.append(int(self._expect("int").text))
         if len(entries) != self.sig.n:
-            line = open_tok.line if open_tok else None
-            col = open_tok.col if open_tok else None
             raise ParseError(
                 f"index arity {len(entries)} does not match n = {self.sig.n}",
-                line, col)
+                open_tok.line, open_tok.col)
         return tuple(entries)
 
     def _gen(self, tok: _Token) -> int:
@@ -289,9 +257,9 @@ class _Parser:
 def _parse_comb(sig: AlgebraSignature, text: str, line: int, col: int,
                 body=None) -> LinComb:
     tokens = _tokenize(text, line, col)
-    if len(tokens) == 1 and tokens[0].kind == "int" and tokens[0].text == "0":
+    if len(tokens) == 2 and tokens[0].text == "0":
         return []  # the zero polynomial prints as "0"
-    parser = _Parser(tokens, sig, line, col)
+    parser = _Parser(tokens, sig)
     comb = parser.parse_comb(body)
     parser.expect_end()
     return comb
@@ -533,17 +501,13 @@ def parse_presentation(text: str) -> Presentation:
 
     brackets = None
     if "lie" in seen_blocks:
-        entries = []
-        seen_pairs = set()
+        table = {}
         for gi, gj, value, lineno, value_col in raw_brackets:
             i = _resolve_gen(sig, gi, lineno)
             j = _resolve_gen(sig, gj, lineno)
-            if (i, j) in seen_pairs:
+            if (i, j) in table:
                 raise ParseError(f"duplicate bracket({gi}, {gj})", lineno)
-            seen_pairs.add((i, j))
-            entries.append(((i, j), _parse_gen_combo(sig, value, lineno,
-                                                     value_col)))
-        entries.sort(key=lambda item: item[0])
-        brackets = tuple(entries)
+            table[i, j] = _parse_gen_combo(sig, value, lineno, value_col)
+        brackets = tuple(sorted(table.items()))
 
     return Presentation(sig, relations, brackets)

@@ -15,6 +15,8 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
+from typing import NamedTuple
 
 from .engine import Engine
 from .indices import (
@@ -92,8 +94,7 @@ class ReductionTrace:
         return ConfPoly._raw(total)
 
 
-@dataclass(frozen=True)
-class CompositionTask:
+class CompositionTask(NamedTuple):
     """One critical-pair obligation between elements ``i`` and ``j``.
 
     Overlap kinds (inclusion, right-inclusion, intersection) carry the
@@ -101,32 +102,29 @@ class CompositionTask:
     multiplication kinds carry the generator index in ``j`` and the
     product label ``m``; their ``w`` is a formal word used only to order
     the completion queue.
+
+    The fields come in the queue's order.  The key ``(size, w, rank, i, j,
+    pos)``, where ``size = len(w.links)`` and ``rank`` is the kind's rank,
+    puts the word first, in the word order.  ``pos`` parts the inclusion
+    tasks of one pair, which share their word, so no two tasks of one
+    system share those six fields.  A queue entry is a plain tuple of all
+    the fields, and ``_make`` builds the task back.
     """
 
-    kind: str
+    size: int
+    w: NormalWord
+    rank: int
     i: int
     j: int
-    w: NormalWord
     pos: int = 0
     c: int = 0
     m: MultiIndex | None = None
     alpha: MultiIndex | None = None
     beta: MultiIndex | None = None
 
-    def sort_key(self):
-        """``(len(w.links), w, kind rank, i, j, pos)``: the completion queue's key.
-
-        The word comes first, in the word order.  ``pos`` parts the
-        inclusion tasks of one pair, which share their word, so no two
-        tasks of one system share a key.  A queue entry is this key
-        followed by ``c, m, alpha, beta``; ``_task`` builds the task back.
-        """
-        return (len(self.w.links), self.w, KIND_RANK[self.kind], self.i, self.j, self.pos)
-
-
-def _task(entry: tuple) -> CompositionTask:
-    _, w, rank, i, j, pos, c, m, alpha, beta = entry
-    return CompositionTask(KINDS[rank], i, j, w, pos, c, m, alpha, beta)
+    @property
+    def kind(self) -> str:
+        return KINDS[self.rank]
 
 
 def _right_inclusion(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> tuple:
@@ -363,7 +361,7 @@ class RewriteSystem:
     # -- composition generation ----------------------------------------------
 
     def _entries_for(self, k: int):
-        """Queue entries (see ``CompositionTask.sort_key``) for rule k: the
+        """Queue entries (see ``CompositionTask``) for rule k: the
         overlap tasks of the pairs (i, k) and (k, i) for every i < k and of
         (k, k), then k's multiplication tasks.
 
@@ -424,19 +422,19 @@ class RewriteSystem:
         if rj.dfree:
             for p in range(len(fi.links) - lg + 1):
                 if fig[p:p + lg] == gjg and _labels_match(fi, gj, p):
-                    tasks.append(CompositionTask(INCLUSION, i, j, w=fi, pos=p))
+                    tasks.append(CompositionTask(len(fi.links), fi, KIND_RANK[INCLUSION], i, j, p))
         # the j-pattern aligned with the i-suffix, tail derivations split minimally
         p = lf - lg
         if (p >= 0 and fig[p:] == gjg and _labels_match(fi, gj, p)
                 and not (i == j and p == 0)):
-            tasks.append(_task(_right_inclusion(fi, gj, i, j, p)))
+            tasks.append(CompositionTask._make(_right_inclusion(fi, gj, i, j, p)))
         # proper overlap of the i-suffix with the j-prefix
         if ri.dfree:
             for c in range(1, min(lf, lg)):
                 p = lf - c
                 if fig[p:] == gjg[:c] and all(
                         fi.links[p + r][1] == gj.links[r][1] for r in range(c - 1)):
-                    tasks.append(_task(_intersection(fi, gj, i, j, p, c)))
+                    tasks.append(CompositionTask._make(_intersection(fi, gj, i, j, p, c)))
         return tasks
 
     def multiplication_bounds(self, p: ConfPoly) -> MultiIndex:
@@ -490,17 +488,17 @@ class RewriteSystem:
     def multiplication_tasks(self, i: int) -> list[CompositionTask]:
         """Left products a<m>f for invalid m, and right products f<m>a for
         non-D-free f, over the finite label box of the element."""
-        return [_task(e) for e in self._multiplication_entries(i)]
+        return list(map(CompositionTask._make, self._multiplication_entries(i)))
 
     def all_tasks(self) -> list[CompositionTask]:
         """Every composition task: the overlap tasks by (i, j, kind, c, pos),
         then the multiplication tasks of each element in turn."""
         overlaps, products = [], []
         for k in range(len(self)):
-            for e in self._entries_for(k):
-                (overlaps if e[2] < KIND_RANK[LEFT_MUL] else products).append(e)
-        overlaps.sort(key=lambda e: (e[3], e[4], e[2], e[6], e[5]))
-        return [_task(e) for e in overlaps + products]
+            for task in map(CompositionTask._make, self._entries_for(k)):
+                (overlaps if task.rank < KIND_RANK[LEFT_MUL] else products).append(task)
+        overlaps.sort(key=attrgetter("i", "j", "rank", "c", "pos"))
+        return overlaps + products
 
     # -- composition evaluation ----------------------------------------------
 
@@ -606,9 +604,10 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     discarded), or LIMIT_REACHED (max_elements or max_steps tripped).
     The output is interreduced; the run is deterministic.
 
-    The queue holds plain tuples: a task's ``sort_key()`` (word, kind rank,
-    i, j, pos, unique within a system) and then its other fields, so tasks
-    pop in word order and a ``CompositionTask`` is built only when popped.
+    The queue holds plain tuples of a task's fields in ``CompositionTask``'s
+    order (word, kind rank, i, j, pos, unique within a system, and then the
+    rest), so tasks pop in word order and a ``CompositionTask`` is built
+    only when popped.
     Each new element's tasks come from ``_entries_for``, which asks the
     leading-word index for the leads that overlap it.
     """
@@ -629,7 +628,7 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
         if max_steps is not None and steps >= max_steps:
             status = LIMIT_REACHED
             break
-        task = _task(heapq.heappop(heap))
+        task = CompositionTask._make(heapq.heappop(heap))
         steps += 1
         remainder, _ = system.reduce(system.eval_composition(task))
         if remainder.is_zero():

@@ -22,7 +22,7 @@ declaration position (later = greater).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 

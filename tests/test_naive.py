@@ -7,6 +7,7 @@ this file was worked out by hand, applying the defining axioms step by step.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from confgsb.naive import naive_d_word, naive_mul_words, naive_normalize
@@ -101,6 +102,22 @@ def test_tree_normalization_collects_terms():
     assert naive_normalize(SIG1, [(Fraction(1), tree)]) == {word1(1, 1): 2}
     two = [(Fraction(1), tree), (Fraction(-2), Leaf(0, (0,)))]
     assert naive_normalize(SIG1, two) == {word1(1, 1): 2, A1: -2}
+
+
+BAD_EXP = Leaf(0, (-1, 0))
+
+
+@pytest.mark.parametrize("tree", [
+    BAD_EXP,
+    Node(BAD_EXP, (0, 0), Leaf(0, (0, 0))),
+    Node(Leaf(0, (0, 0)), (0, 0), BAD_EXP),
+    Leaf(3, (0, 0)),
+    Leaf(0, (0, 0, 0)),
+], ids=["negative-exponent", "on-the-left", "on-the-right", "generator-3", "three-entries"])
+def test_malformed_leaves_rejected(tree):
+    # as Engine.normalize does, and not as an invalid word or an AssertionError
+    with pytest.raises(ValueError):
+        naive_normalize(SIG2, [(Fraction(1), tree)])
 
 
 # --- two coordinates, N = (2, 2): the golden identities ---------------------

@@ -106,6 +106,26 @@ def test_parse_error_position():
     assert info.value.col == 8
 
 
+@pytest.mark.parametrize(
+    "text, start, where, message",
+    [
+        ("", (3, 5), (3, 5), "expected a generator or '('"),
+        ("   # only a comment", (1, 1), (1, 1), "expected a generator or '('"),
+        ("a<0,0>", (1, 1), (1, 7), "expected a generator or '('"),
+        ("a +   # note", (1, 1), (1, 4), "expected a generator or '('"),
+        ("a<0,\n  ", (1, 1), (1, 5), "expected 'int', got end of input"),
+        ("(a\n + a", (2, 4), (3, 5), "expected ')', got end of input"),
+        ("D{0,1}", (1, 1), (1, 7), "derivation prefix requires a generator"),
+        ("3/", (1, 1), (1, 3), "expected 'int', got end of input"),
+    ],
+)
+def test_end_of_input_error_position(text, start, where, message):
+    # reported just after the last token, or at the start when there is none
+    with pytest.raises(ParseError) as info:
+        parse_expression(SIG, text, *start)
+    assert (info.value.line, info.value.col, info.value.message) == (*where, message)
+
+
 def test_parse_index_forms():
     assert parse_index("1,0", 2) == (1, 0)
     assert parse_index("<1,0>", 2) == (1, 0)

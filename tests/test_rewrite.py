@@ -24,10 +24,10 @@ from confgsb.rewrite import (
     LIMIT_REACHED,
     RIGHT_INCLUSION,
     RIGHT_MUL,
+    CompositionTask,
     Occurrence,
     RewriteSystem,
     TraceStep,
-    _task,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -656,7 +656,6 @@ def _record_queue(monkeypatch):
 def _assert_unique_keys(entries):
     keys = [entry[:6] for entry in entries]
     assert len(set(keys)) == len(keys)
-    assert all(_task(entry).sort_key() == key for entry, key in zip(entries, keys))
     return keys
 
 
@@ -665,7 +664,7 @@ def _assert_entries_match_pairs(system):
     unique heap keys; ``all_tasks`` keeps the per-pair order."""
     entries = [entry for k in range(len(system)) for entry in system._entries_for(k)]
     reference = [t for k in range(len(system)) for t in _push_for_by_pairs(system, k)]
-    assert Counter(map(_task, entries)) == Counter(reference)
+    assert Counter(map(CompositionTask._make, entries)) == Counter(reference)
     assert system.all_tasks() == _all_tasks_by_pairs(system)
     return _assert_unique_keys(entries), {t.kind for t in reference}
 
@@ -730,7 +729,7 @@ def test_complete_queue_matches_pairwise_reference(case, max_steps, monkeypatch)
     assert [list(p.terms.items()) for p in system.elements] == \
         [list(p.terms.items()) for p in ref_system.elements]
     assert popped == ref_popped
-    assert Counter(map(_task, pushed)) == Counter(ref_pushed)
+    assert Counter(map(CompositionTask._make, pushed)) == Counter(ref_pushed)
     _assert_unique_keys(pushed)
 
 
@@ -864,7 +863,7 @@ from confgsb import (AlgebraSignature, ConfPoly, Engine, Leaf, RewriteSystem, br
                      enveloping_presentation, falling_factorial, index_sub, lie_algebra,
                      lie_conformal, loop_conformal, single_word, table_entry)
 from confgsb.naive import naive_normalize
-from confgsb.rewrite import RIGHT_INCLUSION, CompositionTask, Occurrence, Rule
+from confgsb.rewrite import KIND_RANK, RIGHT_INCLUSION, CompositionTask, Occurrence, Rule
 from confgsb.words import NormalWord
 eng = Engine(AlgebraSignature(2, (2, 2), ("a",)))
 xy = AlgebraSignature(2, (1, 1), ("x", "y"))
@@ -890,7 +889,7 @@ for attempt in (lambda: short.mul_words(a, (0, 0), a),
                 lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
                                         Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
-                    RIGHT_INCLUSION, 0, 0, w=wrong, alpha=(0, 0), beta=(0, 0))),
+                    1, wrong, KIND_RANK[RIGHT_INCLUSION], 0, 0, alpha=(0, 0), beta=(0, 0))),
                 lambda: small.multiplication_tasks(0)):
     try:
         attempt()
