@@ -173,9 +173,10 @@ def _parse_taild(text: Optional[str], n: int):
         return None
     if "," in text:
         return parse_index(text, n)
-    if not text.strip().isdigit():
-        raise ParseError(f"malformed tail bound {text!r}")
-    return (int(text),) * n
+    try:
+        return parse_index(text, 1) * n
+    except ParseError:
+        raise ParseError(f"malformed tail bound {text!r}") from None
 
 
 def _trace_payload(sig, trace):

@@ -10,7 +10,7 @@ other bracketing and may enclose whole linear combinations (products
 distribute over them).  A ``D{...}`` prefix applies to the generator that
 immediately follows it.
 
-A presentation file is line oriented, with ``#`` comments::
+A presentation file holds one entry per line, in blocks in any order::
 
     algebra
       n: 2
@@ -23,8 +23,13 @@ A presentation file is line oriented, with ``#`` comments::
     lie
       bracket(h, f): -2*f
 
-Parsing is strict: unknown generators, index-arity mismatches, and stray
-tokens raise :class:`ParseError` carrying the line and column.
+A ``bracket(i, j)`` key names each generator or gives its index in the
+``generators`` list.  The whole file, product labels such as ``1,0`` and
+tail bounds are read with one token grammar: whitespace may sit between
+any two tokens, a ``#`` comment may follow any token and runs to the end of
+its line, and in a file a line break ends an entry.  Parsing is strict:
+unknown generators, index-arity mismatches, and stray tokens raise
+:class:`ParseError` carrying the line and column.
 """
 
 from __future__ import annotations
@@ -94,8 +99,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<bad>.)"
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
     """The tokens of ``text``, closed by an ``end`` token that sits just
@@ -116,7 +119,9 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
         if kind == "bad":
             raise ParseError(f"unexpected character {piece!r}", line, col)
         if kind != "comment":
-            out.append(_Token(piece if kind == "punct" else kind, piece, line, col))
+            # tuple.__new__ skips NamedTuple's Python-level __new__: 15% of this loop
+            out.append(tuple.__new__(_Token, (piece if kind == "punct" else kind,
+                                              piece, line, col)))
             end = (line, col + len(piece))
         col += len(piece)
     out.append(_Token("end", "", *end))
@@ -124,13 +129,14 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
 
 
 # --------------------------------------------------------------------------
-# expression parser
+# parser
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: AlgebraSignature):
+    def __init__(self, tokens: list[_Token],
+                 sig: Optional[AlgebraSignature] = None):
         self.tokens = tokens  # closed by an "end" token, which is never consumed
-        self.sig = sig
+        self.sig = sig  # None until a presentation's header has been read
         self.pos = 0
 
     # -- token plumbing --
@@ -146,12 +152,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._accept(kind)
+    def _expect(self, *kinds: str) -> _Token:
+        tok = self._accept(*kinds)
         if tok is None:
             tok = self._peek()
             got = "end of input" if tok.kind == "end" else repr(tok.text)
-            self._fail(f"expected {kind!r}, got {got}")
+            self._fail(f"expected {' or '.join(map(repr, kinds))}, got {got}")
         return tok
 
     def _fail(self, message: str):
@@ -163,7 +169,15 @@ class _Parser:
         if tok.kind != "end":
             self._fail(f"unexpected trailing {tok.text!r}")
 
-    # -- grammar --
+    # -- expressions --
+
+    def parse_sum(self, body=None) -> LinComb:
+        """A signed sum up to the end token; a lone ``0`` is the empty sum."""
+        if self._peek().text == "0" and self.tokens[self.pos + 1].kind == "end":
+            return []
+        comb = self.parse_comb(body)
+        self.expect_end()
+        return comb
 
     def parse_comb(self, body=None) -> LinComb:
         """A signed sum of terms ``[coefficient] body``, where ``body`` is a
@@ -204,8 +218,9 @@ class _Parser:
 
     def parse_product(self) -> LinComb:
         left = self.parse_atom()
-        if self._peek().kind == "<":
-            m = self.parse_angle_index()
+        if self._accept("<"):
+            m = self.parse_index_list(self.sig.n)
+            self._expect(">")
             right = self.parse_product()  # chains associate to the right
             return [
                 (cl * cr, Node(tl, m, tr))
@@ -223,7 +238,7 @@ class _Parser:
         if tok is None:
             self._fail("expected a generator or '('")
         if tok.text == "D" and self._accept("{"):
-            dexp = self.parse_index_list()
+            dexp = self.parse_index_list(self.sig.n)
             self._expect("}")
             gen_tok = self._accept("name")
             if gen_tok is None:
@@ -231,60 +246,70 @@ class _Parser:
             return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
         return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
 
-    def parse_angle_index(self) -> MultiIndex:
-        self._expect("<")
-        m = self.parse_index_list()
-        self._expect(">")
-        return m
-
-    def parse_index_list(self) -> MultiIndex:
+    def parse_index_list(self, n: int) -> MultiIndex:
         open_tok = self._peek()
         entries = [int(self._expect("int").text)]
         while self._accept(","):
             entries.append(int(self._expect("int").text))
-        if len(entries) != self.sig.n:
-            raise ParseError(
-                f"index arity {len(entries)} does not match n = {self.sig.n}",
-                open_tok.line, open_tok.col)
+        if len(entries) != n:
+            raise ParseError(f"index arity {len(entries)} does not match n = {n}",
+                             open_tok.line, open_tok.col)
         return tuple(entries)
 
     def _gen(self, tok: _Token) -> int:
-        if tok.text not in self.sig.generators:
+        """The generator a ``name`` token names or an ``int`` token indexes."""
+        gens = self.sig.generators
+        if tok.kind == "int" and int(tok.text) < len(gens):
+            return int(tok.text)
+        if tok.text not in gens:
             raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
-        return self.sig.gen_index(tok.text)
+        return gens.index(tok.text)
 
+    # -- presentation entries --
 
-def _parse_comb(sig: AlgebraSignature, text: str, line: int, col: int,
-                body=None) -> LinComb:
-    tokens = _tokenize(text, line, col)
-    if len(tokens) == 2 and tokens[0].text == "0":
-        return []  # the zero polynomial prints as "0"
-    parser = _Parser(tokens, sig)
-    comb = parser.parse_comb(body)
-    parser.expect_end()
-    return comb
+    def parse_list(self, kind: str) -> list[_Token]:
+        """A whole ``[item, ...]`` header value over tokens of ``kind``."""
+        self._expect("[")
+        items = [self._expect(kind)]
+        while self._accept(","):
+            items.append(self._expect(kind))
+        self._expect("]")
+        self.expect_end()
+        return items
+
+    def parse_key(self, block: str) -> tuple[_Token, ...]:
+        """An entry's key and colon: ``name:``, or in a ``lie`` block
+        ``bracket(i, j):`` with ``i``, ``j`` generator names or indices."""
+        key = (self._expect("name"),)
+        if block == "lie":
+            if key[0].text != "bracket":
+                raise ParseError("lie entries must look like 'bracket(i, j): value'",
+                                 key[0].line, key[0].col)
+            self._expect("(")
+            i = self._expect("name", "int")
+            self._expect(",")
+            key = (i, self._expect("name", "int"))
+            self._expect(")")
+        if not self._accept(":"):
+            self._fail("expected 'key: value'")
+        return key
 
 
 def parse_expression(sig: AlgebraSignature, text: str,
                      line: int = 1, col: int = 1) -> LinComb:
     """Parse a linear combination of labelled products over ``sig``."""
-    return _parse_comb(sig, text, line, col)
+    return _Parser(_tokenize(text, line, col), sig).parse_sum()
 
 
 def parse_index(text: str, n: int) -> MultiIndex:
     """Parse a bare product label: ``1,0`` (also ``<1,0>`` or ``[1, 0]``)."""
-    body = text.strip()
-    for opener, closer in (("<", ">"), ("[", "]")):
-        if body.startswith(opener) and body.endswith(closer):
-            body = body[1:-1]
-            break
-    parts = [p.strip() for p in body.split(",")]
-    if not all(re.fullmatch(r"\d+", p) for p in parts):
-        raise ParseError(f"malformed index {text!r}")
-    entries = tuple(int(p) for p in parts)
-    if len(entries) != n:
-        raise ParseError(f"index arity {len(entries)} does not match n = {n}")
-    return entries
+    parser = _Parser(_tokenize(text))
+    opener = parser._accept("<", "[")
+    m = parser.parse_index_list(n)
+    if opener is not None:
+        parser._expect(">" if opener.kind == "<" else "]")
+    parser.expect_end()
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -368,146 +393,88 @@ class Presentation:
             f"  generators: [{', '.join(sig.generators)}]",
         ]
         if self.relations:
-            lines.append("")
-            lines.append("relations")
+            lines += ["", "relations"]
             for name, comb in self.relations:
                 lines.append(f"  {name}: {format_lincomb(sig, comb)}")
         if self.brackets is not None:
-            lines.append("")
-            lines.append("lie")
+            lines += ["", "lie"]
             for (i, j), entries in self.brackets:
                 key = f"bracket({sig.generators[i]}, {sig.generators[j]})"
                 lines.append(f"  {key}: {format_gen_combo(sig, entries)}")
         return "\n".join(lines) + "\n"
 
 
-_BRACKET_KEY_RE = re.compile(
-    r"bracket\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
-
-
-def _parse_int(value: str, line: int, what: str) -> int:
-    if not re.fullmatch(r"\d+", value.strip()):
-        raise ParseError(f"{what} must be a nonnegative integer", line)
-    return int(value)
-
-
-def _parse_name_list(value: str, line: int, what: str) -> list[str]:
-    body = value.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError(f"{what} must be a [ ... ] list", line)
-    inner = body[1:-1].strip()
-    if not inner:
-        raise ParseError(f"{what} must not be empty", line)
-    return [p.strip() for p in inner.split(",")]
-
-
-def _resolve_gen(sig: AlgebraSignature, text: str, line: int) -> int:
-    if re.fullmatch(r"\d+", text):
-        idx = int(text)
-        if idx >= len(sig.generators):
-            raise ParseError(f"generator index {idx} out of range", line)
-        return idx
-    if text not in sig.generators:
-        raise ParseError(f"unknown generator {text!r}", line)
-    return sig.gen_index(text)
-
-
-def _parse_gen_combo(sig: AlgebraSignature, text: str, line: int,
-                     col: int) -> tuple[tuple[int, Fraction], ...]:
-    """A bracket value: the expression grammar with bare generators as terms."""
-    comb = _parse_comb(sig, text, line, col, _Parser.parse_generator)
-    return tuple((leaf.gen, c) for c, leaf in comb)
+_BLOCKS = ("algebra", "relations", "lie")
+_HEADER_KEYS = ("n", "locality", "generators")
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse a presentation file (see the module docstring for the grammar)."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header: dict[str, tuple[str, int]] = {}
-    raw_relations: list[tuple[str, str, int, int]] = []
-    raw_brackets: list[tuple[str, str, str, int, int]] = []
-    seen_blocks: set[str] = set()
-    current: Optional[str] = None
-
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        body = raw.split("#", 1)[0]
-        stripped = body.strip()
-        if not stripped:
+    # block -> {entry key: its parser, left after the colon until the header is read}
+    entries: dict[str, dict] = {}
+    block: Optional[str] = None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tokens = _tokenize(line, lineno)
+        first = tokens[0]
+        if first.kind == "end":
             continue
-        if stripped in ("algebra", "relations", "lie"):
-            if stripped in seen_blocks:
-                raise ParseError(f"duplicate {stripped!r} block", lineno)
-            seen_blocks.add(stripped)
-            current = stripped
+        if len(tokens) == 2 and first.text in _BLOCKS:
+            if first.text in entries:
+                raise ParseError(f"duplicate {first.text!r} block", lineno, first.col)
+            block = first.text
+            entries[block] = {}
             continue
-        if current is None:
+        if block is None:
             raise ParseError("expected a block header "
-                             "('algebra', 'relations', or 'lie')", lineno)
-        if ":" not in body:
-            raise ParseError("expected 'key: value'", lineno)
-        key, value = body.split(":", 1)
-        value_col = len(key) + 2
-        key = key.strip()
-        if current == "algebra":
-            if key not in ("n", "locality", "generators"):
-                raise ParseError(f"unknown algebra key {key!r}", lineno)
-            if key in header:
-                raise ParseError(f"duplicate algebra key {key!r}", lineno)
-            header[key] = (value, lineno)
-        elif current == "relations":
-            if not _NAME_RE.fullmatch(key):
-                raise ParseError(f"invalid relation name {key!r}", lineno)
-            if any(key == name for name, *_ in raw_relations):
-                raise ParseError(f"duplicate relation name {key!r}", lineno)
-            raw_relations.append((key, value, lineno, value_col))
+                             "('algebra', 'relations', or 'lie')", lineno, first.col)
+        parser = _Parser(tokens)
+        key = parser.parse_key(block)
+        name = key[0].text
+        if block == "lie":
+            entries[block][key] = parser
+        elif block == "algebra" and name not in _HEADER_KEYS:
+            raise ParseError(f"unknown algebra key {name!r}", lineno, first.col)
+        elif name in entries[block]:
+            what = "algebra key" if block == "algebra" else "relation name"
+            raise ParseError(f"duplicate {what} {name!r}", lineno, first.col)
         else:
-            m = _BRACKET_KEY_RE.fullmatch(key)
-            if m is None:
-                raise ParseError("lie entries must look like "
-                                 "'bracket(i, j): value'", lineno)
-            raw_brackets.append((m.group(1), m.group(2), value, lineno, value_col))
+            entries[block][name] = parser
 
-    for required in ("n", "locality", "generators"):
+    header = entries.get("algebra", {})
+    for required in _HEADER_KEYS:
         if required not in header:
             raise ParseError(f"algebra block must define {required!r}")
-
-    n = _parse_int(header["n"][0], header["n"][1], "n")
+    n_tok = header["n"]._expect("int")
+    header["n"].expect_end()
+    n = int(n_tok.text)
     if n < 1:
-        raise ParseError("n must be at least 1", header["n"][1])
-    loc_items = _parse_name_list(header["locality"][0], header["locality"][1],
-                                 "locality")
-    locality = tuple(_parse_int(item, header["locality"][1], "locality entry")
-                     for item in loc_items)
-    if len(locality) != n:
-        raise ParseError(f"locality has {len(locality)} entries for n = {n}",
-                         header["locality"][1])
-    if any(b < 1 for b in locality):
-        raise ParseError("locality bounds must be positive",
-                         header["locality"][1])
-    gen_items = _parse_name_list(header["generators"][0],
-                                 header["generators"][1], "generators")
-    for name in gen_items:
-        if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid generator name {name!r}",
-                             header["generators"][1])
-    if len(set(gen_items)) != len(gen_items):
-        raise ParseError("duplicate generator names",
-                         header["generators"][1])
-    sig = AlgebraSignature(n, locality, tuple(gen_items))
+        raise ParseError("n must be at least 1", n_tok.line, n_tok.col)
+    bounds = header["locality"].parse_list("int")
+    if len(bounds) != n:
+        raise ParseError(f"locality has {len(bounds)} entries for n = {n}",
+                         bounds[0].line, bounds[0].col)
+    if any(int(tok.text) < 1 for tok in bounds):
+        raise ParseError("locality bounds must be positive", bounds[0].line)
+    gens = header["generators"].parse_list("name")
+    names = tuple(tok.text for tok in gens)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate generator names", gens[0].line)
+    sig = AlgebraSignature(n, tuple(int(tok.text) for tok in bounds), names)
+    for parser in (p for parsers in entries.values() for p in parsers.values()):
+        parser.sig = sig
 
-    relations = tuple(
-        (name, tuple(parse_expression(sig, value, lineno, value_col)))
-        for name, value, lineno, value_col in raw_relations
-    )
-
+    relations = tuple((name, tuple(parser.parse_sum()))
+                      for name, parser in entries.get("relations", {}).items())
     brackets = None
-    if "lie" in seen_blocks:
+    if "lie" in entries:
         table = {}
-        for gi, gj, value, lineno, value_col in raw_brackets:
-            i = _resolve_gen(sig, gi, lineno)
-            j = _resolve_gen(sig, gj, lineno)
-            if (i, j) in table:
-                raise ParseError(f"duplicate bracket({gi}, {gj})", lineno)
-            table[i, j] = _parse_gen_combo(sig, value, lineno, value_col)
+        for (ti, tj), parser in entries["lie"].items():
+            key = parser._gen(ti), parser._gen(tj)
+            if key in table:
+                raise ParseError(f"duplicate bracket({ti.text}, {tj.text})",
+                                 ti.line, ti.col)
+            comb = parser.parse_sum(_Parser.parse_generator)
+            table[key] = tuple((leaf.gen, c) for c, leaf in comb)
         brackets = tuple(sorted(table.items()))
-
     return Presentation(sig, relations, brackets)

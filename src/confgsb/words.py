@@ -248,17 +248,6 @@ class ConfPoly:
     def is_dfree(self) -> bool:
         return all(w.is_dfree() for w in self.terms)
 
-    def map_words(self, fn) -> "ConfPoly":
-        out: dict[NormalWord, Coeff] = {}
-        for w, c in self.terms.items():
-            nw = fn(w)
-            acc = out.get(nw, 0) + c
-            if acc:
-                out[nw] = acc
-            else:
-                out.pop(nw, None)
-        return self._raw(out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "ConfPoly(0)"

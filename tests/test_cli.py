@@ -334,6 +334,14 @@ def test_bad_taild_exits_65(completed, capsys):
     assert "malformed tail bound" in err
 
 
+def test_non_ascii_digit_taild_exits_65(completed, capsys):
+    # "²".isdigit() holds, but it is no digit of the token grammar
+    code, out, err = run(capsys, "basis", completed, "--max-length", "2",
+                         "--max-taild", "²")
+    assert (code, out) == (65, "")
+    assert err == "confgsb: error: malformed tail bound '²'\n"
+
+
 # -- determinism and the installed entry point ------------------------------------
 
 

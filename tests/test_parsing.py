@@ -1,6 +1,9 @@
 """Grammar round trips: expressions, canonical printing, presentation files."""
 
+import random
+import re
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from confgsb.engine import Engine
 from confgsb.parsing import (
     ParseError,
+    Presentation,
+    _Parser,
+    _tokenize,
     format_gen_combo,
     format_index,
     format_lincomb,
@@ -130,10 +136,21 @@ def test_parse_index_forms():
     assert parse_index("1,0", 2) == (1, 0)
     assert parse_index("<1,0>", 2) == (1, 0)
     assert parse_index("[1, 0]", 2) == (1, 0)
+    assert parse_index(" < 1 , 0 > ", 2) == (1, 0)
     with pytest.raises(ParseError):
         parse_index("1,0,0", 2)
     with pytest.raises(ParseError):
         parse_index("x,0", 2)
+    for text, where, fragment in [
+        ("<1,0]", (1, 5), "expected '>', got ']'"),
+        ("", (1, 1), "expected 'int', got end of input"),
+        ("1, x", (1, 4), "expected 'int', got 'x'"),
+        ("1", (1, 1), "index arity 1 does not match n = 2"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_index(text, 2)
+        assert (info.value.line, info.value.col) == where
+        assert fragment in str(info.value)
 
 
 # --- canonical printing -------------------------------------------------------
@@ -325,9 +342,236 @@ def test_presentation_errors(mangle, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "src, old, new, where, fragment",
+    [
+        (GOLDEN_FILE, "n: 2", "n: x", (3, 6), "expected 'int', got 'x'"),
+        (GOLDEN_FILE, "[2, 2]", "[2 2]", (4, 16), "expected ']', got '2'"),
+        (GOLDEN_FILE, "[a]", "[a, 1b]", (5, 19), "expected 'name', got '1'"),
+        (GOLDEN_FILE, "f: a", "f a", (8, 5), "expected 'key: value'"),
+        (SL2_FILE, "bracket(e, f)", "bracket(h f)", (8, 13), "expected ',', got 'f'"),
+        (SL2_FILE, "bracket(e, f)", "bracket(7, 0)", (8, 11), "unknown generator '7'"),
+        (SL2_FILE, "bracket(e, f)", "bracket(3, 0)", (8, 11), "unknown generator '3'"),
+        (SL2_FILE, "bracket(e, f)", "bracket(1, 0)", (8, 11), "duplicate bracket(1, 0)"),
+        (GOLDEN_FILE, "a - a\n", "a - a\n  f: a\n", (9, 3), "duplicate relation name 'f'"),
+        (GOLDEN_FILE, "[a]\n", "[a]\n  n: 2\n", (6, 3), "duplicate algebra key 'n'"),
+        (SL2_FILE, "bracket(e, f)", "brackets(e, f)", (8, 3), "bracket(i, j): value"),
+        (GOLDEN_FILE, "2]\n", "2]²", (4, 19), "unexpected character '²'"),
+    ],
+)
+def test_presentation_error_positions(src, old, new, where, fragment):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(src.replace(old, new))
+    assert (info.value.line, info.value.col) == where
+    assert fragment in str(info.value)
+
+
+def test_presentation_whitespace_between_any_tokens():
+    spaced = (SL2_FILE.replace("bracket(h, f)", "bracket ( h ,f )")
+              .replace("[f, h, e]", "[ f ,h,e ]  # three"))
+    assert parse_presentation(spaced) == parse_presentation(SL2_FILE)
+
+
 def test_presentation_error_reports_file_line():
     bad = GOLDEN_FILE.replace("a<0,0> a - a", "a<0,0> a - c")
     with pytest.raises(ParseError) as info:
         parse_presentation(bad)
     assert info.value.line == 8  # the relation line in GOLDEN_FILE
     assert "unknown generator" in str(info.value)
+
+
+# --- the split-and-regex parser that the one token grammar replaced ------------
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_BRACKET_KEY_RE = re.compile(
+    r"bracket\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
+
+
+def _parse_int(value: str, line: int, what: str) -> int:
+    if not re.fullmatch(r"\d+", value.strip()):
+        raise ParseError(f"{what} must be a nonnegative integer", line)
+    return int(value)
+
+
+def _parse_name_list(value: str, line: int, what: str) -> list[str]:
+    body = value.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ParseError(f"{what} must be a [ ... ] list", line)
+    inner = body[1:-1].strip()
+    if not inner:
+        raise ParseError(f"{what} must not be empty", line)
+    return [p.strip() for p in inner.split(",")]
+
+
+def _resolve_gen(sig: AlgebraSignature, text: str, line: int) -> int:
+    if re.fullmatch(r"\d+", text):
+        idx = int(text)
+        if idx >= len(sig.generators):
+            raise ParseError(f"generator index {idx} out of range", line)
+        return idx
+    if text not in sig.generators:
+        raise ParseError(f"unknown generator {text!r}", line)
+    return sig.gen_index(text)
+
+
+def _reference_parse_presentation(text: str) -> Presentation:
+    """``parse_presentation`` as it was before the one token grammar: lines
+    split on ``#`` and ``:``, header values and keys read by regexes, and
+    only relation and bracket values tokenized."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header: dict[str, tuple[str, int]] = {}
+    raw_relations: list[tuple[str, str, int, int]] = []
+    raw_brackets: list[tuple[str, str, str, int, int]] = []
+    seen_blocks: set[str] = set()
+    current: Optional[str] = None
+
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        body = raw.split("#", 1)[0]
+        stripped = body.strip()
+        if not stripped:
+            continue
+        if stripped in ("algebra", "relations", "lie"):
+            if stripped in seen_blocks:
+                raise ParseError(f"duplicate {stripped!r} block", lineno)
+            seen_blocks.add(stripped)
+            current = stripped
+            continue
+        if current is None:
+            raise ParseError("expected a block header "
+                             "('algebra', 'relations', or 'lie')", lineno)
+        if ":" not in body:
+            raise ParseError("expected 'key: value'", lineno)
+        key, value = body.split(":", 1)
+        value_col = len(key) + 2
+        key = key.strip()
+        if current == "algebra":
+            if key not in ("n", "locality", "generators"):
+                raise ParseError(f"unknown algebra key {key!r}", lineno)
+            if key in header:
+                raise ParseError(f"duplicate algebra key {key!r}", lineno)
+            header[key] = (value, lineno)
+        elif current == "relations":
+            if not _NAME_RE.fullmatch(key):
+                raise ParseError(f"invalid relation name {key!r}", lineno)
+            if any(key == name for name, *_ in raw_relations):
+                raise ParseError(f"duplicate relation name {key!r}", lineno)
+            raw_relations.append((key, value, lineno, value_col))
+        else:
+            m = _BRACKET_KEY_RE.fullmatch(key)
+            if m is None:
+                raise ParseError("lie entries must look like "
+                                 "'bracket(i, j): value'", lineno)
+            raw_brackets.append((m.group(1), m.group(2), value, lineno, value_col))
+
+    for required in ("n", "locality", "generators"):
+        if required not in header:
+            raise ParseError(f"algebra block must define {required!r}")
+
+    n = _parse_int(header["n"][0], header["n"][1], "n")
+    if n < 1:
+        raise ParseError("n must be at least 1", header["n"][1])
+    loc_items = _parse_name_list(header["locality"][0], header["locality"][1],
+                                 "locality")
+    locality = tuple(_parse_int(item, header["locality"][1], "locality entry")
+                     for item in loc_items)
+    if len(locality) != n:
+        raise ParseError(f"locality has {len(locality)} entries for n = {n}",
+                         header["locality"][1])
+    if any(b < 1 for b in locality):
+        raise ParseError("locality bounds must be positive",
+                         header["locality"][1])
+    gen_items = _parse_name_list(header["generators"][0],
+                                 header["generators"][1], "generators")
+    for name in gen_items:
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(f"invalid generator name {name!r}",
+                             header["generators"][1])
+    if len(set(gen_items)) != len(gen_items):
+        raise ParseError("duplicate generator names",
+                         header["generators"][1])
+    sig = AlgebraSignature(n, locality, tuple(gen_items))
+
+    relations = tuple(
+        (name, tuple(parse_expression(sig, value, lineno, value_col)))
+        for name, value, lineno, value_col in raw_relations
+    )
+
+    brackets = None
+    if "lie" in seen_blocks:
+        table = {}
+        for gi, gj, value, lineno, value_col in raw_brackets:
+            i = _resolve_gen(sig, gi, lineno)
+            j = _resolve_gen(sig, gj, lineno)
+            if (i, j) in table:
+                raise ParseError(f"duplicate bracket({gi}, {gj})", lineno)
+            parser = _Parser(_tokenize(value, lineno, value_col), sig)
+            comb = parser.parse_sum(_Parser.parse_generator)
+            table[i, j] = tuple((leaf.gen, c) for c, leaf in comb)
+        brackets = tuple(sorted(table.items()))
+
+    return Presentation(sig, relations, brackets)
+
+
+BOTH_FILE = """\
+algebra   # both blocks, a bracket key by index
+  n: 1
+  locality: [1]
+  generators: [e, h, f]
+relations
+  r: e<0> f - f<0> e - h
+lie
+  bracket(h, e): 2*e
+  bracket(1, 2): -2*f   # h, f
+"""
+
+_MUTATION_CHARS = "aefhnxD019 \n\t#:,[]()<>{}+-*/_²"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """``text`` with one character replaced, deleted or inserted."""
+    k = rng.randrange(len(text))
+    c = rng.choice(_MUTATION_CHARS if rng.random() < 0.6 else text)
+    return rng.choice([text[:k] + c + text[k + 1:], text[:k] + text[k + 1:],
+                       text[:k] + c + text[k:]])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("src", [GOLDEN_FILE, SL2_FILE, BOTH_FILE],
+                         ids=["golden", "sl2", "both"])
+def test_presentation_matches_reference_on_mutations(src):
+    """One-character mutations parse to the same presentation as the replaced
+    parser, or raise on the same line.  Two differences are expected:
+    (a) a lexical fault that joins two header lines is reported at its line,
+    where the replaced parser found a key missing and gave no line, and
+    (b) ``bracket (i, j)`` is accepted, as whitespace between tokens is
+    everywhere else."""
+    rng = random.Random(src)
+    parsed = failed = 0
+    for _ in range(1500):
+        text = _mutate(rng, src)
+        got = _outcome(parse_presentation, text)
+        want = _outcome(_reference_parse_presentation, text)
+        if (isinstance(want, ParseError) and isinstance(got, ParseError)
+                and want.line is None and got.line is not None):  # (a)
+            assert "must define" in want.message
+            assert got.message.startswith("unexpected character")
+            continue
+        if isinstance(want, ParseError) and isinstance(got, Presentation):  # (b)
+            assert "lie entries" in want.message
+            want = _reference_parse_presentation(re.sub(r"bracket\s+\(", "bracket(", text))
+        if isinstance(want, Presentation):
+            assert isinstance(got, Presentation), (text, got)
+            assert got.canonical() == want.canonical()
+            assert (got.relations, got.brackets) == (want.relations, want.brackets)
+            parsed += 1
+        else:
+            assert isinstance(got, ParseError), (text, want)
+            assert got.line == want.line, (text, got, want)
+            failed += 1
+    assert parsed > 100 and failed > 100

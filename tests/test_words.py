@@ -173,15 +173,11 @@ def test_poly_iteration_is_descending():
     assert seen == sorted(words, key=NormalWord.weight_key, reverse=True)
 
 
-def test_poly_dfree_and_map_words():
+def test_poly_dfree():
     u = single_word(0, 2)
     d = single_word(0, 2, (1, 0))
     assert ConfPoly.from_word(u).is_dfree()
     assert not (ConfPoly.from_word(u) + ConfPoly.from_word(d)).is_dfree()
-    # map_words merges collisions
-    p = ConfPoly.from_word(u, 1) + ConfPoly.from_word(d, 2)
-    q = p.map_words(lambda x: NormalWord(x.links, x.tail, (0, 0)))
-    assert q == ConfPoly.from_word(u, 3)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
