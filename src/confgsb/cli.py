@@ -28,7 +28,6 @@ from .envelope import (
     enveloping_presentation,
     half_pbw_check,
     lie_algebra,
-    validate_lie,
 )
 from .parsing import (
     ParseError,
@@ -161,11 +160,11 @@ def _system(pres: Presentation, engine: Engine) -> RewriteSystem:
 
 def _lie_spec(pres: Presentation) -> LieConformalSpec:
     sig = pres.signature
-    brackets = dict(pres.brackets) if pres.brackets is not None else {}
-    g = lie_algebra(sig.generators, brackets)
-    if not validate_lie(g):
-        raise _DataError("bracket table fails antisymmetry or the Jacobi identity")
-    return bracket_conformal(sig, g)
+    g = lie_algebra(sig.generators, dict(pres.brackets or ()))
+    try:
+        return bracket_conformal(sig, g)
+    except ValueError as exc:
+        raise _DataError(str(exc)) from None
 
 
 def _parse_taild(text: Optional[str], n: int):
@@ -194,17 +193,14 @@ def _trace_payload(sig, trace):
     return steps
 
 
-def _trace_lines(sig, trace):
-    lines = [f"trace ({len(trace.steps)} steps):"]
-    for step in trace.steps:
-        occ = step.occ
-        kind = "suffix" if occ.second else "interior"
-        extra = ""
-        if occ.second and occ.dshift is not None and any(occ.dshift):
-            extra = f" shift {format_index(occ.dshift)}"
-        lines.append(
-            f"  - {step.coeff} x {format_word(sig, step.word)}"
-            f"  [relation {occ.elem}, {kind} at {occ.pos}{extra}]")
+def _trace_lines(steps):
+    """The text form of ``_trace_payload``'s steps."""
+    lines = [f"trace ({len(steps)} steps):"]
+    for step in steps:
+        kind = "suffix" if step["second"] else "interior"
+        shift = f" shift {format_index(step['dshift'])}" if any(step["dshift"] or ()) else ""
+        lines.append(f"  - {step['coeff']} x {step['word']}"
+                     f"  [relation {step['element']}, {kind} at {step['pos']}{shift}]")
     return lines
 
 
@@ -245,7 +241,7 @@ def _cmd_reduce(args, pres, sig, engine):
     trace_out = None
     if args.trace:
         trace_out = _trace_payload(sig, trace)
-        lines.extend(_trace_lines(sig, trace))
+        lines.extend(_trace_lines(trace_out))
     return EX_OK, payload, lines, trace_out
 
 
@@ -288,7 +284,10 @@ def _cmd_check(args, pres, sig, engine):
 def _cmd_basis(args, pres, sig, engine):
     system = _system(pres, engine)
     taild = _parse_taild(args.max_taild, sig.n)
-    words = system.irreducible_words(args.max_length, taild)
+    try:
+        words = system.irreducible_words(args.max_length, taild)
+    except ValueError as exc:
+        raise _DataError(str(exc)) from None
     texts = [format_word(sig, w) for w in words]
     return EX_OK, texts, texts, None
 
@@ -308,8 +307,8 @@ def _cmd_eq(args, pres, sig, engine):
     if args.trace:
         trace_out = {"left": _trace_payload(sig, ltrace),
                      "right": _trace_payload(sig, rtrace)}
-        lines.extend(["left " + line for line in _trace_lines(sig, ltrace)])
-        lines.extend(["right " + line for line in _trace_lines(sig, rtrace)])
+        for side, steps in trace_out.items():
+            lines.extend(f"{side} {line}" for line in _trace_lines(steps))
     return EX_OK, payload, lines, trace_out
 
 

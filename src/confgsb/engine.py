@@ -119,19 +119,15 @@ class Engine:
             bumped = index_add(w.taild, unit_index(self.sig.n, t))
             out = ConfPoly.from_word(NormalWord((), w.tail, bumped))
         else:
-            # Leibniz across the first link; the label absorbs one D.  The
-            # two parts start with different first links, so no term meets
-            # another and nothing cancels.
+            # Leibniz across the first link; the label absorbs one D.  Under
+            # the valid m the first part is a prepend in a fresh dict; the two
+            # parts start with different first links, so nothing cancels.
             (g, m), rest_links = w.links[0], w.links[1:]
             rest = NormalWord(rest_links, w.tail, w.taild)
-            terms = {
-                NormalWord(((g, m),) + x.links, x.tail, x.taild): c
-                for x, c in self.derive_word(t, rest).terms.items()
-            }
+            out = self.mul_prefix_poly(g, m, self.derive_word(t, rest))
             if m[t]:
                 dropped = index_sub(m, unit_index(self.sig.n, t))
-                terms[NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)] = -m[t]
-            out = ConfPoly._raw(terms)
+                out.terms[NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)] = -m[t]
         if self.check:
             length, grades, _ = self._word_facts(w)
             self._audit(out, length, tuple(g - (r == t) for r, g in enumerate(grades)),

@@ -154,10 +154,7 @@ def brace(engine: Engine, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
         raise ValueError(f"brace label {m} is outside the validity box")
     out: dict = {}
     for s in iter_box(index_sub(sig.locality, m)):
-        term = engine.mul_prefix_poly(gen, index_add(m, s), p)
-        if term.is_zero():
-            continue
-        term = engine.derive_multi(s, term)
+        term = engine.derive_multi(s, engine.mul_prefix_poly(gen, index_add(m, s), p))
         accumulate(out, term.terms, exact(Fraction(sign_of(index_add(m, s)), factorial_multi(s))))
     return ConfPoly._raw(out)
 
@@ -258,8 +255,10 @@ def half_pbw_check(L: LieConformalSpec, engine: Engine | None = None) -> HalfPBW
 
 
 def bracket_conformal(sig: AlgebraSignature, g: LieAlgebraSpec) -> LieConformalSpec:
-    """Lie conformal structure over ``sig`` on the basis of ``g`` whose only
-    nonzero products are a_i|0| a_j = [a_i, a_j]."""
+    """Lie conformal structure over ``sig`` with a_i|0| a_j = [a_i, a_j] its
+    only nonzero products; ValueError unless ``g`` passes ``validate_lie``."""
+    if not validate_lie(g):
+        raise ValueError("bracket table fails antisymmetry or the Jacobi identity")
     z = zero_index(sig.n)
     table = {}
     for i in range(len(g.basis)):
@@ -272,6 +271,4 @@ def bracket_conformal(sig: AlgebraSignature, g: LieAlgebraSpec) -> LieConformalS
 def loop_conformal(g: LieAlgebraSpec, n: int) -> LieConformalSpec:
     """Loop Lie conformal structure of an ordinary Lie algebra: locality
     (1, ..., 1) and table entry (i, j, 0) = the bracket [a_i, a_j]."""
-    if not validate_lie(g):
-        raise ValueError("bracket table fails antisymmetry or the Jacobi identity")
     return bracket_conformal(AlgebraSignature(n, (1,) * n, g.basis), g)

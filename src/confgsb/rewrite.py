@@ -15,6 +15,7 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -42,6 +43,9 @@ KIND_RANK = {
     RIGHT_MUL: 4,
 }
 KINDS = tuple(KIND_RANK)
+
+# irreducible_words refuses to build more candidate words than this
+MAX_BASIS_CANDIDATES = 10 ** 7
 
 COMPLETE = "complete"
 BOUNDED_COMPLETE = "bounded-complete"
@@ -505,8 +509,8 @@ class RewriteSystem:
     def eval_composition(self, task: CompositionTask) -> ConfPoly:
         """The composition polynomial of a task, engine-normalized.
 
-        For overlap kinds the two eliminations of the ambient word cancel
-        its leading term, so the result sits strictly below task.w.
+        An overlap composition is the difference of two S-words of task.w,
+        rule i at 0 less rule j at task.pos, so it sits strictly below task.w.
         """
         eng = self.engine
         n = self.sig.n
@@ -516,21 +520,12 @@ class RewriteSystem:
         if task.kind == RIGHT_MUL:
             unit = ConfPoly.from_word(single_word(task.j, n))
             return eng.mul_poly(poly, task.m, unit)
-        if task.kind == INCLUSION:
-            out = poly - self.build_sword(
-                task.w, Occurrence(task.j, task.pos, False))
-        elif task.kind == RIGHT_INCLUSION:
-            lhs = eng.derive_multi(task.alpha, poly)
-            if lhs.is_zero() or lhs.leading_term() != (task.w, 1):
-                raise RuntimeError(f"leading-word law violated: {task}")
-            rhs = self.build_sword(task.w, Occurrence(task.j, task.pos, True, task.beta))
-            out = lhs - rhs
-        elif task.kind == INTERSECTION:
-            lhs = self.build_sword(task.w, Occurrence(task.i, 0, False))
-            rhs = self.build_sword(task.w, Occurrence(task.j, task.pos, True, zero_index(n)))
-            out = lhs - rhs
-        else:
-            raise RuntimeError(f"unknown composition kind {task.kind!r}")
+        # alpha and beta are None but for right inclusions
+        first = (Occurrence(task.i, 0, False) if task.kind == INTERSECTION
+                 else Occurrence(task.i, 0, True, task.alpha or zero_index(n)))
+        second = (Occurrence(task.j, task.pos, False) if task.kind == INCLUSION
+                  else Occurrence(task.j, task.pos, True, task.beta or zero_index(n)))
+        out = self.build_sword(task.w, first) - self.build_sword(task.w, second)
         if not out.is_zero() and compare_words(out.leading_word(), task.w) >= 0:
             raise RuntimeError(f"composition does not descend below its word: {task}")
         return out
@@ -570,13 +565,24 @@ class RewriteSystem:
         return out
 
     def irreducible_words(self, max_length: int, max_taild: MultiIndex | None = None) -> list[NormalWord]:
-        """All normal words within the bounds with no occurrence, ascending."""
+        """All normal words within the bounds with no occurrence, ascending.
+
+        Raises ValueError, before it builds any, once the candidate words up
+        to some length number more than ``MAX_BASIS_CANDIDATES``.
+        """
         sig = self.sig
         if max_taild is None:
             max_taild = zero_index(sig.n)
+        ngens, nlabels = len(sig.generators), prod(sig.locality)
+        count, words = 0, prod(b + 1 for b in max_taild) * ngens
+        for length in range(1, max_length + 1):
+            count += words  # tail exponents × ngens^length × nlabels^(length − 1)
+            words *= ngens * nlabels
+            if count > MAX_BASIS_CANDIDATES:
+                raise ValueError(f"{count} candidate words up to length {length} exceed the "
+                                 f"budget of {MAX_BASIS_CANDIDATES}")
         tailds = list(iter_box(tuple(b + 1 for b in max_taild)))
         valid_labels = list(iter_box(sig.locality))
-        ngens = len(sig.generators)
         out = []
         for length in range(1, max_length + 1):
             for gens in product(range(ngens), repeat=length):

@@ -79,9 +79,6 @@ class NormalWord(NamedTuple):
     def gens(self) -> tuple[int, ...]:
         return tuple(g for g, _ in self.links) + (self.tail,)
 
-    def labels(self) -> tuple[MultiIndex, ...]:
-        return tuple(m for _, m in self.links)
-
     def link_sum(self, t: int) -> int:
         """Total t-component carried by the word's labels (tail exponent excluded)."""
         return sum(m[t] for _, m in self.links)

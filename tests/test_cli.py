@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -54,6 +55,15 @@ lie
   bracket(e, h): 2*e
   bracket(h, f): -2*f
   bracket(e, f): h
+"""
+
+TAILED = """\
+algebra
+  n: 2
+  locality: [2, 2]
+  generators: [a]
+relations
+  f: D{1,0} a
 """
 
 SIX_RELATIONS = [
@@ -162,6 +172,36 @@ def test_reduce_with_trace(completed, capsys):
     assert lines[3] == "  - 1 x a<0,0> a  [relation 0, suffix at 0]"
 
 
+def test_reduce_trace_prints_suffix_shift(completed, capsys):
+    code, out, _ = run(capsys, "reduce", completed, "a<0,0> D{1,0} a", "--trace")
+    assert (code, out.splitlines()) == (0, [
+        "D{1,0} a",
+        "trace (1 steps):",
+        "  - 1 x a<0,0> D{1,0} a  [relation 0, suffix at 0 shift 1,0]",
+    ])
+
+
+def test_eq_with_trace(completed, capsys):
+    code, out, _ = run(capsys, "eq", completed, "a<0,0> a<0,0> a", "a", "--trace")
+    assert (code, out.splitlines()) == (0, [
+        "equal",
+        "left trace (2 steps):",
+        "left   - 1 x a<0,0> a<0,0> a  [relation 0, interior at 0]",
+        "left   - 1 x a<0,0> a  [relation 0, suffix at 0]",
+        "right trace (0 steps):",
+    ])
+    code, out, _ = run(capsys, "eq", completed, "a<0,0> a<0,0> a", "a", "--trace", "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["result"] == {"equal": True, "left_remainder": "a", "right_remainder": "a"}
+    assert doc["trace"] == {"left": [
+        {"word": "a<0,0> a<0,0> a", "coeff": "1", "element": 0,
+         "pos": 0, "second": False, "dshift": None},
+        {"word": "a<0,0> a", "coeff": "1", "element": 0,
+         "pos": 0, "second": True, "dshift": [0, 0]},
+    ], "right": []}
+
+
 def test_check_exit_codes(golden, completed, capsys):
     code, out, _ = run(capsys, "check", golden)
     assert code == 2
@@ -170,6 +210,23 @@ def test_check_exit_codes(golden, completed, capsys):
     assert len(out.splitlines()) == 6
     code, out, _ = run(capsys, "check", completed)
     assert (code, out) == (0, "basis: yes\n")
+
+
+def test_check_notes_tail_derivations(tmp_path, capsys):
+    path = tmp_path / "tailed.alg"
+    path.write_text(TAILED)
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, out.splitlines()) == (2, [
+        "basis: no",
+        "note: some relations carry tail derivations; "
+        "a clean bill below is certified only for the reductions run",
+        "  - right-mul (0, 0) label 1,0 at a<1,0> D{1,0} a -> -a<0,0> a",
+        "  - right-mul (0, 0) label 1,1 at a<1,1> D{1,0} a -> -a<0,1> a",
+        "  - left-mul (0, 0) label 2,0 at a<2,0> D{1,0} a -> 2 a<1,0> a",
+        "  - right-mul (0, 0) label 2,0 at a<2,0> D{1,0} a -> -2 a<1,0> a",
+        "  - left-mul (0, 0) label 2,1 at a<2,1> D{1,0} a -> 2 a<1,1> a",
+        "  - right-mul (0, 0) label 2,1 at a<2,1> D{1,0} a -> -2 a<1,1> a",
+    ])
 
 
 def test_complete_respects_bounds(golden, capsys):
@@ -340,6 +397,27 @@ def test_non_ascii_digit_taild_exits_65(completed, capsys):
                          "--max-taild", "²")
     assert (code, out) == (65, "")
     assert err == "confgsb: error: malformed tail bound '²'\n"
+
+
+@pytest.mark.parametrize("bounds, count", [
+    # 1000001^2 tail exponents: the count passes the budget at length 1
+    (["--max-length", "2", "--max-taild", "1000000"],
+     "1000002000001 candidate words up to length 1"),
+    # 4 labels: (4^13 - 1) / 3 words up to length 13, 5592405 up to length 12
+    (["--max-length", "13"], "22369621 candidate words up to length 13"),
+], ids=["taild", "length"])
+def test_basis_refuses_too_many_candidates(completed, bounds, count):
+    # the command must refuse before it builds a candidate; the cap on the
+    # address space makes a run that builds them fail instead of filling memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "confgsb.cli", "basis", completed, *bounds],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert (proc.returncode, proc.stdout) == (65, "")
+    assert proc.stderr == f"confgsb: error: {count} exceed the budget of 10000000\n"
 
 
 # -- determinism and the installed entry point ------------------------------------

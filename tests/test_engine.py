@@ -506,7 +506,7 @@ def test_memo_sizes():
     e.derive_word(0, word2((1, 1), (0, 1)))
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
     assert e.memo_sizes() == {"prefix": 20, "words": 5, "derive": 3,
-                              "weights": 7, "intern": 2, "facts": 12}
+                              "weights": 7, "intern": 4, "facts": 12}
     # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
     plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))

@@ -677,16 +677,19 @@ def _crafted_inclusions():
                                mono((1, 0), taild=(1, 0)) - mono(), mono(taild=(0, 1))])
 
 
+def _task_system(case):
+    if case == "golden":
+        return golden_system()
+    if case == "idempotent33":
+        return _completed_idempotent33()
+    if case == "abelian-envelope":
+        return RewriteSystem(*_abelian_envelope_relations()).interreduce()
+    return _crafted_inclusions()
+
+
 @pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
 def test_entries_match_overlap_tasks(case):
-    if case == "golden":
-        system = golden_system()
-    elif case == "idempotent33":
-        system = _completed_idempotent33()
-    elif case == "abelian-envelope":
-        system = RewriteSystem(*_abelian_envelope_relations()).interreduce()
-    else:
-        system = _crafted_inclusions()
+    system = _task_system(case)
     keys, kinds = _assert_entries_match_pairs(system)
     if case == "crafted":
         assert kinds == set(KIND_RANK)
@@ -706,6 +709,48 @@ def test_entries_match_overlap_tasks(case):
     _, kinds = _assert_entries_match_pairs(system)
     assert {INCLUSION, RIGHT_INCLUSION, INTERSECTION} <= kinds
     _assert_entries_match_pairs(system.interreduce())
+
+
+def _eval_composition_by_kind(system, task):
+    """Reference evaluator: each composition kind built by hand, the left
+    side of an inclusion as the bare rule, of a right inclusion as its
+    derivative."""
+    eng = system.engine
+    n = system.sig.n
+    poly = system.rules[task.i].poly
+    if task.kind == LEFT_MUL:
+        return eng.mul_prefix_poly(task.j, task.m, poly)
+    if task.kind == RIGHT_MUL:
+        unit = ConfPoly.from_word(single_word(task.j, n))
+        return eng.mul_poly(poly, task.m, unit)
+    if task.kind == INCLUSION:
+        out = poly - system.build_sword(task.w, Occurrence(task.j, task.pos, False))
+    elif task.kind == RIGHT_INCLUSION:
+        lhs = eng.derive_multi(task.alpha, poly)
+        assert lhs.leading_term() == (task.w, 1)
+        out = lhs - system.build_sword(task.w, Occurrence(task.j, task.pos, True, task.beta))
+    else:
+        assert task.kind == INTERSECTION
+        lhs = system.build_sword(task.w, Occurrence(task.i, 0, False))
+        out = lhs - system.build_sword(task.w, Occurrence(task.j, task.pos, True, (0,) * n))
+    assert out.is_zero() or compare_words(out.leading_word(), task.w) < 0
+    return out
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_eval_composition_matches_by_kind_reference(case):
+    system = _task_system(case)
+    tasks = system.all_tasks()
+    kinds = Counter(task.kind for task in tasks)
+    assert kinds[INTERSECTION] and kinds[LEFT_MUL]
+    if case in ("abelian-envelope", "crafted"):
+        assert kinds[RIGHT_INCLUSION] and kinds[RIGHT_MUL]
+    if case == "crafted":
+        assert kinds[INCLUSION]
+    for task in tasks:
+        got = system.eval_composition(task)
+        want = _eval_composition_by_kind(system, task)
+        assert list(got.terms.items()) == list(want.terms.items()), task
 
 
 def _workload_inputs(case):

@@ -49,7 +49,6 @@ def test_word_accessors():
     assert u.length == 3
     assert not u.is_dfree()
     assert u.gens() == (0, 1, 0)
-    assert u.labels() == ((1, 0), (0, 1))
     assert u.link_sum(0) == 1 and u.link_sum(1) == 1
     assert u.grade(0) == -1 and u.grade(1) == 1
     assert prepend_link(1, (0, 0), u).length == 4
