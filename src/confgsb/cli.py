@@ -159,8 +159,10 @@ def _system(pres: Presentation, engine: Engine) -> RewriteSystem:
 
 
 def _lie_spec(pres: Presentation) -> LieConformalSpec:
+    if pres.brackets is None:
+        raise _DataError("the file has no lie block")
     sig = pres.signature
-    g = lie_algebra(sig.generators, dict(pres.brackets or ()))
+    g = lie_algebra(sig.generators, dict(pres.brackets))
     try:
         return bracket_conformal(sig, g)
     except ValueError as exc:

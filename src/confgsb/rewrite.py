@@ -174,7 +174,6 @@ class Rule:
 
     poly: ConfPoly
     lead: NormalWord
-    lead_gens: tuple[int, ...]
     dfree: bool
 
 
@@ -182,65 +181,49 @@ def _rule(p: ConfPoly) -> Rule:
     if p.is_zero():
         raise ValueError("rewriting systems hold nonzero polynomials only")
     p = p.monic()
-    lead = p.leading_word()
-    return Rule(p, lead, lead.gens(), p.is_dfree())
+    return Rule(p, p.leading_word(), p.is_dfree())
 
 
 class _LeadIndex:
     """The rules of a system keyed on segments of their leading words.
 
     A segment is keyed like a whole lead, on its links and the generator
-    after them: ``(links[p:p+L-1], links[p+L-1][0])`` for the L letters at
-    p when a link follows them, ``(links[p:], tail)`` for the suffix at p.
+    after them: ``(links[p:q], links[q][0])`` for letters p to q when a
+    link follows them, ``(links[p:], tail)`` for the suffix at p.
 
-    Matching looks a word's segments up among whole leads: ``interior``
-    lists the D-free rules, which alone match inside a word; ``suffix``
-    lists every rule with its lead's tail derivation, for the dshift check
-    of a suffix match; ``lengths`` holds the distinct lead lengths in
-    ascending order.  Completion asks the reverse, which leads hold a
-    given segment: ``segments`` lists (rule, p) for every interior segment
-    of every lead, ``suffixes`` (rule, p) for every suffix, the whole lead
-    (p = 0) included, and ``prefixes`` the rules for every proper prefix.
-    These three are built on first use (``_with_segments``), since
-    ``interreduce`` rebuilds the index after every change and only matches.
+    Three maps, each with one builder.  ``leads`` maps a whole lead's key
+    to its rules, for matching; ``add`` writes it and ``lengths``, the
+    distinct lead lengths in ascending order.  Completion asks the reverse,
+    which leads hold a segment: ``segments`` lists (rule, p) for every
+    interior segment of every lead (p = 0 for its proper prefixes),
+    ``suffixes`` for every suffix, the whole lead (p = 0) included.
+    ``add`` queues each lead and ``reverse()`` adds the queued leads to
+    these two, since ``interreduce`` rebuilds the index after every change
+    and only matches.
     """
 
     def __init__(self, rules: list[Rule]):
-        self.interior: dict[tuple, list[int]] = {}
-        self.suffix: dict[tuple, list[tuple[int, MultiIndex]]] = {}
+        self.leads: dict[tuple, list[int]] = {}
         self.lengths: list[int] = []
-        self.segments: dict[tuple, list[tuple[int, int]]] | None = None
+        self.segments: dict[tuple, list[tuple[int, int]]] = {}
         self.suffixes: dict[tuple, list[tuple[int, int]]] = {}
-        self.prefixes: dict[tuple, list[int]] = {}
+        self._queue: list[tuple[int, NormalWord]] = []
         for e, rule in enumerate(rules):
-            self._add(e, rule)
+            self.add(e, rule.lead)
 
-    def _add(self, e: int, rule: Rule) -> None:
-        lead = rule.lead
-        key = (lead.links, lead.tail)
-        if rule.dfree:
-            self.interior.setdefault(key, []).append(e)
-        self.suffix.setdefault(key, []).append((e, lead.taild))
+    def add(self, e: int, lead: NormalWord) -> None:
+        self.leads.setdefault((lead.links, lead.tail), []).append(e)
         if lead.length not in self.lengths:
             insort(self.lengths, lead.length)
-        if self.segments is not None:
-            self._add_segments(e, lead)
+        self._queue.append((e, lead))
 
-    def _add_segments(self, e: int, lead: NormalWord) -> None:
-        links, tail = lead.links, lead.tail
-        for p in range(len(links) + 1):
-            self.suffixes.setdefault((links[p:], tail), []).append((e, p))
-            for q in range(p, len(links)):
-                segment = (links[p:q], links[q][0])
-                self.segments.setdefault(segment, []).append((e, p))
-                if p == 0:
-                    self.prefixes.setdefault(segment, []).append(e)
-
-    def _with_segments(self, rules: list[Rule]) -> "_LeadIndex":
-        if self.segments is None:
-            self.segments = {}
-            for e, rule in enumerate(rules):
-                self._add_segments(e, rule.lead)
+    def reverse(self) -> "_LeadIndex":
+        for e, (links, tail, _) in self._queue:
+            for p in range(len(links) + 1):
+                self.suffixes.setdefault((links[p:], tail), []).append((e, p))
+                for q in range(p, len(links)):
+                    self.segments.setdefault((links[p:q], links[q][0]), []).append((e, p))
+        self._queue.clear()
         return self
 
 
@@ -267,7 +250,7 @@ class RewriteSystem:
         self.rules.append(rule)
         e = len(self.rules) - 1
         if self._index is not None:
-            self._index._add(e, rule)
+            self._index.add(e, rule.lead)
         return e
 
     def _lead_index(self) -> _LeadIndex:
@@ -285,22 +268,23 @@ class RewriteSystem:
         lead lengths, not with the number of rules.
         """
         index = self._lead_index()
+        rules = self.rules
         out = []
         links = w.links
         nlinks = len(links)
         for L in index.lengths:
-            # interior matches: a link must follow the matched segment
+            # interior matches of D-free leads: a link must follow the segment
             for p in range(nlinks - L + 1):
-                for e in index.interior.get((links[p:p + L - 1], links[p + L - 1][0]), ()):
-                    if e not in exclude:
+                for e in index.leads.get((links[p:p + L - 1], links[p + L - 1][0]), ()):
+                    if rules[e].dfree and e not in exclude:
                         out.append(Occurrence(e, p, False))
             p = nlinks + 1 - L
             if p < 0:
                 break
-            for e, taild in index.suffix.get((links[p:], w.tail), ()):
+            for e in index.leads.get((links[p:], w.tail), ()):
                 if e in exclude:
                     continue
-                dshift = tuple(a - b for a, b in zip(w.taild, taild))
+                dshift = tuple(a - b for a, b in zip(w.taild, rules[e].lead.taild))
                 if all(c >= 0 for c in dshift):
                     out.append(Occurrence(e, p, True, dshift))
         out.sort(key=lambda o: (o.pos, o.second, o.elem))
@@ -373,7 +357,7 @@ class RewriteSystem:
         visited; per pair the tasks are those of ``overlap_tasks``.
         """
         rules = self.rules
-        index = self._lead_index()._with_segments(rules)
+        index = self._lead_index().reverse()
         rk = rules[k]
         g = rk.lead
         links, tail = g.links, g.tail
@@ -387,18 +371,15 @@ class RewriteSystem:
         for i, p in index.suffixes.get((links, tail), ()):
             if i < k:
                 yield _right_inclusion(rules[i].lead, g, i, k, p)
-        # an earlier lead inside k's: inclusion, right inclusion of i in k
-        for L in index.lengths:
-            p = nl + 1 - L
-            if p < 0:
-                break
-            for q in range(p):
-                for i in index.interior.get((links[q:q + L - 1], links[q + L - 1][0]), ()):
-                    if i < k:
-                        yield (nl, g, KIND_RANK[INCLUSION], k, i, q, 0, None, None, None)
-            for i, _ in index.suffix.get((links[p:], tail), ()):
+        # an earlier lead inside k's: right inclusion, inclusion of i in k
+        for p in range(nl + 1):
+            for i in index.leads.get((links[p:], tail), ()):
                 if i < k:
                     yield _right_inclusion(g, rules[i].lead, k, i, p)
+            for q in range(p, nl):
+                for i in index.leads.get((links[p:q], links[q][0]), ()):
+                    if i < k and rules[i].dfree:
+                        yield (nl, g, KIND_RANK[INCLUSION], k, i, p, 0, None, None, None)
         # a proper suffix of lead i (k itself included) is a prefix of k's
         for c in range(1, nl + 1):
             for i, p in index.suffixes.get((links[:c - 1], links[c - 1][0]), ()):
@@ -407,10 +388,9 @@ class RewriteSystem:
         # a proper suffix of k's lead is a prefix of an earlier lead
         if rk.dfree:
             for p in range(1, nl + 1):
-                c = nl + 1 - p
-                for i in index.prefixes.get((links[p:], tail), ()):
-                    if i < k:
-                        yield _intersection(g, rules[i].lead, k, i, p, c)
+                for i, q in index.segments.get((links[p:], tail), ()):
+                    if not q and i < k:
+                        yield _intersection(g, rules[i].lead, k, i, p, nl + 1 - p)
         yield from self._multiplication_entries(k)
 
     def overlap_tasks(self, i: int, j: int) -> list[CompositionTask]:
@@ -419,7 +399,7 @@ class RewriteSystem:
         index-driven ``_entries_for`` must agree with."""
         ri, rj = self.rules[i], self.rules[j]
         fi, gj = ri.lead, rj.lead
-        fig, gjg = ri.lead_gens, rj.lead_gens
+        fig, gjg = fi.gens(), gj.gens()
         lf, lg = fi.length, gj.length
         tasks = []
         # the j-pattern strictly inside the i-leading word, a link following it

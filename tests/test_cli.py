@@ -378,6 +378,21 @@ def test_invalid_lie_table_exits_65(tmp_path, capsys):
     assert "antisymmetry or the Jacobi identity" in err
 
 
+@pytest.mark.parametrize("command", ["envelope", "halfpbw"])
+def test_lie_commands_without_lie_block_exit_65(golden, capsys, command):
+    # a file of relations is no bracket table, in particular not the abelian one
+    code, out, err = run(capsys, command, golden)
+    assert (code, out) == (65, "")
+    assert err == "confgsb: error: the file has no lie block\n"
+
+
+def test_empty_lie_block_is_the_abelian_table(tmp_path, capsys):
+    path = tmp_path / "abelian.alg"
+    path.write_text("algebra\n  n: 1\n  locality: [1]\n  generators: [x, y]\nlie\n")
+    assert run(capsys, "envelope", str(path)) == (0, "y<0> x - x<0> y\n", "")
+    assert run(capsys, "halfpbw", str(path)) == (0, "checked: 0\nok: yes\n", "")
+
+
 def test_bad_label_arity_exits_65(golden, capsys):
     code, _, err = run(capsys, "mul", golden, "a", "1", "a")
     assert code == 65

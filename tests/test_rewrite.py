@@ -28,6 +28,7 @@ from confgsb.rewrite import (
     Occurrence,
     RewriteSystem,
     TraceStep,
+    _LeadIndex,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -415,7 +416,7 @@ def _find_occurrences_by_scan(system, word, exclude=frozenset()):
     for e, rule in enumerate(system.rules):
         if e in exclude:
             continue
-        lead, lg, L = rule.lead, rule.lead_gens, rule.lead.length
+        lead, lg, L = rule.lead, rule.lead.gens(), rule.lead.length
         if rule.dfree:
             for p in range(len(word.links) - L + 1):
                 if wg[p:p + L] == lg and all(
@@ -711,6 +712,43 @@ def test_entries_match_overlap_tasks(case):
     _assert_entries_match_pairs(system.interreduce())
 
 
+def _index_maps(index):
+    return index.leads, index.lengths, index.segments, index.suffixes
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_index_grown_rule_by_rule_matches_one_build(case):
+    # ``add`` and ``reverse()`` are the index's only builders: rules appended
+    # one at a time, reversed now and then, give the maps of one build
+    source = _task_system(case)
+    system = RewriteSystem(source.engine)
+    index = system._lead_index()
+    for e, rule in enumerate(source.rules):
+        system._append(rule.poly)
+        if e % 3 == 1:
+            index.reverse()
+    assert system.rules == source.rules and system._index is index
+    index.reverse()
+    # dict equality compares each key's list, so list order counts
+    assert _index_maps(index) == _index_maps(_LeadIndex(source.rules).reverse())
+    assert index.segments and index.suffixes
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_matching_leaves_the_reverse_maps_unbuilt(case):
+    source = _task_system(case)
+    system = RewriteSystem(source.engine, source.elements)
+    rng = random.Random(len(system))
+    words = _seeded_words(system, rng, 40)
+    assert any([system.find_occurrences(u) for u in words])
+    for _ in range(10):
+        system.reduce(_seeded_poly(words, rng))
+    index = system._index
+    assert index.leads and (index.segments, index.suffixes) == ({}, {})
+    list(system._entries_for(0))  # completion reverses the index
+    assert index.segments and index.suffixes
+
+
 def _eval_composition_by_kind(system, task):
     """Reference evaluator: each composition kind built by hand, the left
     side of an inclusion as the bare rule, of a right inclusion as its
@@ -918,7 +956,7 @@ a = single_word(0, 2)
 f = ConfPoly.from_word(NormalWord(((0, (0, 0)),), 0, (0, 0))) - ConfPoly.from_word(a)
 bad = RewriteSystem(eng, [f])
 wrong = NormalWord(((0, (1, 0)),), 0, (0, 0))
-bad.rules[0] = Rule(f, wrong, wrong.gens(), True)
+bad.rules[0] = Rule(f, wrong, True)
 # an audited system whose label bounds are too small for its products to vanish
 small = RewriteSystem(Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True), [f])
 small.multiplication_bounds = lambda p: (1, 1)
