@@ -161,6 +161,8 @@ def _system(pres: Presentation, engine: Engine) -> RewriteSystem:
 def _lie_spec(pres: Presentation) -> LieConformalSpec:
     if pres.brackets is None:
         raise _DataError("the file has no lie block")
+    if pres.relations:
+        raise _DataError("the file has relations, but this command reads the lie block only")
     sig = pres.signature
     g = lie_algebra(sig.generators, dict(pres.brackets))
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import attrgetter
 from typing import NamedTuple
@@ -356,14 +356,15 @@ class RewriteSystem:
         The leading-word index names the overlapping leads, so only they are
         visited; per pair the tasks are those of ``overlap_tasks``.
         """
-        rules = self.rules
-        index = self._lead_index().reverse()
-        rk = rules[k]
-        g = rk.lead
-        links, tail = g.links, g.tail
-        nl = len(links)
+        return chain(self._inclusion_entries(k), self._extension_entries(k))
+
+    def _inclusion_entries(self, k: int):
+        """The inclusion and right-inclusion entries of ``_entries_for(k)``."""
+        rules, index = self.rules, self._lead_index().reverse()
+        g = rules[k].lead
+        links, tail, nl = g.links, g.tail, len(g.links)
         # k's lead inside an earlier lead: inclusion, right inclusion of k in i
-        if rk.dfree:
+        if rules[k].dfree:
             for i, p in index.segments.get((links, tail), ()):
                 if i < k:
                     f = rules[i].lead
@@ -380,13 +381,26 @@ class RewriteSystem:
                 for i in index.leads.get((links[p:q], links[q][0]), ()):
                     if i < k and rules[i].dfree:
                         yield (nl, g, KIND_RANK[INCLUSION], k, i, p, 0, None, None, None)
+
+    def _extension_entries(self, k: int):
+        """The intersection and product entries of ``_entries_for(k)``, each
+        of size nl + 1 or more, nl = len(links) of k's lead:
+        - lead i's suffix at p >= 1 meets k's first c letters: size p + nl;
+        - k's suffix at p meets a proper prefix of lead i, of nl + 1 - p <=
+          len(f_i.links) letters: size len(f_i.links) + p;
+        - a product adds one link to k's lead: size nl + 1.
+        Only rules i <= k take part, so later rules do not change the entries.
+        """
+        rules, index = self.rules, self._lead_index().reverse()
+        g = rules[k].lead
+        links, tail, nl = g.links, g.tail, len(g.links)
         # a proper suffix of lead i (k itself included) is a prefix of k's
         for c in range(1, nl + 1):
             for i, p in index.suffixes.get((links[:c - 1], links[c - 1][0]), ()):
                 if p and i <= k and rules[i].dfree:
                     yield _intersection(rules[i].lead, g, i, k, p, c)
         # a proper suffix of k's lead is a prefix of an earlier lead
-        if rk.dfree:
+        if rules[k].dfree:
             for p in range(1, nl + 1):
                 for i, q in index.segments.get((links[p:], tail), ()):
                     if not q and i < k:
@@ -594,8 +608,10 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     order (word, kind rank, i, j, pos, unique within a system, and then the
     rest), so tasks pop in word order and a ``CompositionTask`` is built
     only when popped.
-    Each new element's tasks come from ``_entries_for``, which asks the
-    leading-word index for the leads that overlap it.
+    Each new rule's inclusion entries are pushed at once; the rest, all of
+    size s = len(links) + 1 of its lead or more (``_extension_entries``),
+    wait as a bound (s, k) in a second heap until the queue's front reaches
+    size s or the queue runs empty.  Tasks pop as if all were built at once.
     """
     for name, bound in (("max_degree", max_degree),
                         ("max_elements", max_elements),
@@ -604,13 +620,20 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
             raise ValueError(f"{name} must be a positive integer")
 
     system = RewriteSystem(engine, elements).interreduce()
-    heap = [e for k in range(len(system)) for e in system._entries_for(k)]
+    heap = [e for k in range(len(system)) for e in system._inclusion_entries(k)]
+    bounds = [(len(rule.lead.links) + 1, k) for k, rule in enumerate(system.rules)]
     heapq.heapify(heap)
+    heapq.heapify(bounds)
 
     steps = 0
     discarded = False
     status = COMPLETE
-    while heap:
+    while True:
+        while bounds and (not heap or bounds[0][0] <= heap[0][0]):
+            for entry in system._extension_entries(heapq.heappop(bounds)[1]):
+                heapq.heappush(heap, entry)
+        if not heap:
+            break
         if max_steps is not None and steps >= max_steps:
             status = LIMIT_REACHED
             break
@@ -625,8 +648,10 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
         if max_elements is not None and len(system) >= max_elements:
             status = LIMIT_REACHED
             break
-        for entry in system._entries_for(system._append(remainder)):
+        k = system._append(remainder)
+        for entry in system._inclusion_entries(k):
             heapq.heappush(heap, entry)
+        heapq.heappush(bounds, (len(system.rules[k].lead.links) + 1, k))
     if status == COMPLETE and discarded:
         status = BOUNDED_COMPLETE
     return system.interreduce(), status

@@ -386,6 +386,18 @@ def test_lie_commands_without_lie_block_exit_65(golden, capsys, command):
     assert err == "confgsb: error: the file has no lie block\n"
 
 
+@pytest.mark.parametrize("command", ["envelope", "halfpbw"])
+def test_lie_commands_with_relations_exit_65(tmp_path, capsys, command):
+    # the bracket table alone would drop the relation without a word
+    path = tmp_path / "both.alg"
+    path.write_text("algebra\n  n: 1\n  locality: [1]\n  generators: [x, y]\n"
+                    "relations\n  f: x<0> x - y\nlie\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (65, "")
+    assert err == ("confgsb: error: the file has relations, but this command reads "
+                   "the lie block only\n")
+
+
 def test_empty_lie_block_is_the_abelian_table(tmp_path, capsys):
     path = tmp_path / "abelian.alg"
     path.write_text("algebra\n  n: 1\n  locality: [1]\n  generators: [x, y]\nlie\n")

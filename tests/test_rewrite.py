@@ -605,10 +605,11 @@ def _all_tasks_by_pairs(system):
             + [t for i in size for t in system.multiplication_tasks(i)])
 
 
-def _complete_by_pairs(engine, elements, max_steps):
-    """Reference completion: the per-pair generator and a queue of tasks
-    ordered by (word, kind rank, i, j) and then push order.  Returns the
-    completion's system and status, and the tasks pushed and popped."""
+def _complete_by_pairs(engine, elements, max_steps=None, max_degree=None, max_elements=None):
+    """Reference completion: the per-pair generator, every task of a rule
+    pushed as the rule is added, and a queue of tasks ordered by (word, kind
+    rank, i, j) and then push order.  Returns the completion's system and
+    status, and the tasks pushed and popped."""
     system = RewriteSystem(engine, elements).interreduce()
     heap, pushed, popped = [], [], []
     seq = itertools.count()
@@ -621,35 +622,46 @@ def _complete_by_pairs(engine, elements, max_steps):
 
     for k in range(len(system)):
         push_for(k)
-    status = COMPLETE
+    status, discarded = COMPLETE, False
     while heap:
-        if len(popped) >= max_steps:
+        if max_steps is not None and len(popped) >= max_steps:
             status = LIMIT_REACHED
             break
         task = heapq.heappop(heap)[-1]
         popped.append(task)
         remainder, _ = system.reduce(system.eval_composition(task))
-        if not remainder.is_zero():
+        if remainder.is_zero():
+            continue
+        if max_degree is not None and remainder.degree() > max_degree:
+            discarded = True
+        elif max_elements is not None and len(system) >= max_elements:
+            status = LIMIT_REACHED
+            break
+        else:
             push_for(system._append(remainder))
+    if status == COMPLETE and discarded:
+        status = BOUNDED_COMPLETE
     return system.interreduce(), status, pushed, popped
 
 
 def _record_queue(monkeypatch):
     """Record the queue entries ``complete`` draws and the tasks it pops."""
     pushed, popped = [], []
-    entries_for = RewriteSystem._entries_for
     evaluate = RewriteSystem.eval_composition
 
-    def recorded_entries(self, k):
-        for entry in entries_for(self, k):
-            pushed.append(entry)
-            yield entry
+    def recorded(entries_of):
+        def entries(self, k):
+            for entry in entries_of(self, k):
+                pushed.append(entry)
+                yield entry
+        return entries
 
     def recorded_eval(self, task):
         popped.append(task)
         return evaluate(self, task)
 
-    monkeypatch.setattr(RewriteSystem, "_entries_for", recorded_entries)
+    for name in ("_inclusion_entries", "_extension_entries"):
+        monkeypatch.setattr(RewriteSystem, name, recorded(getattr(RewriteSystem, name)))
     monkeypatch.setattr(RewriteSystem, "eval_composition", recorded_eval)
     return pushed, popped
 
@@ -800,25 +812,38 @@ def _workload_inputs(case):
     return eng, [ConfPoly.from_word(w((0, 0))) - mono()]
 
 
-@pytest.mark.parametrize("case, max_steps", [
-    ("golden", 10_000), ("idempotent33", 10_000), ("abelian", 800), ("abelian", 1600)])
-def test_complete_queue_matches_pairwise_reference(case, max_steps, monkeypatch):
+@pytest.mark.parametrize("case, bounds", [
+    ("golden", {"max_steps": 10_000}), ("idempotent33", {"max_steps": 10_000}),
+    # after six pops the queue is empty and only deferred bounds are left;
+    # the sixtieth pop is golden's last, so its limit is never tripped
+    ("golden", {"max_steps": 6}), ("golden", {"max_steps": 60}),
+    ("abelian", {"max_steps": 800}), ("abelian", {"max_steps": 1600}),
+    ("abelian", {"max_degree": 2}), ("abelian", {"max_elements": 30})],
+    ids=["golden-10000", "idempotent33-10000", "golden-6", "golden-60", "abelian-800",
+         "abelian-1600", "abelian-degree2", "abelian-elements30"])
+def test_complete_queue_matches_pairwise_reference(case, bounds, monkeypatch):
     eng, elements = _workload_inputs(case)
-    ref_system, ref_status, ref_pushed, ref_popped = _complete_by_pairs(
-        eng, elements, max_steps)
+    ref_system, ref_status, ref_pushed, ref_popped = _complete_by_pairs(eng, elements, **bounds)
     pushed, popped = _record_queue(monkeypatch)
-    system, status = complete(eng, elements, max_steps=max_steps)
+    system, status = complete(eng, elements, **bounds)
     assert status == ref_status
     assert [list(p.terms.items()) for p in system.elements] == \
         [list(p.terms.items()) for p in ref_system.elements]
     assert popped == ref_popped
-    assert Counter(map(CompositionTask._make, pushed)) == Counter(ref_pushed)
     _assert_unique_keys(pushed)
+    pushed, ref_pushed = Counter(map(CompositionTask._make, pushed)), Counter(ref_pushed)
+    if status != LIMIT_REACHED:
+        assert pushed == ref_pushed
+    else:
+        # a stopped run builds a subset, leaving out only tasks longer than any it popped
+        longest = max(t.size for t in popped)
+        assert pushed <= ref_pushed
+        assert all(t.size > longest for t in ref_pushed - pushed)
 
 
 @pytest.mark.parametrize("case, max_steps, counts", [
     ("golden", 10_000, (60, 60)), ("idempotent33", 10_000, (486, 486)),
-    ("abelian", 800, (16763, 800))])
+    ("abelian", 800, (1042, 800))])
 def test_complete_work_is_pinned(case, max_steps, counts, monkeypatch):
     # tasks pushed and popped on the benchmark's three completions
     eng, elements = _workload_inputs(case)
@@ -861,6 +886,15 @@ def test_complete_idempotent_and_deterministic():
     third, status3 = complete(ENG, [F])
     assert status1 == status2 == status3 == COMPLETE
     assert second.elements == first.elements == third.elements
+
+
+def test_complete_rule_without_tasks():
+    # the relation a at n = 1, locality [1] has no composition task at all
+    eng = Engine(AlgebraSignature(1, (1,), ("a",)))
+    relation = ConfPoly.from_word(NormalWord((), 0, (0,)))
+    system, status = complete(eng, [relation])
+    assert status == COMPLETE and system.elements == [relation]
+    assert system.all_tasks() == []
 
 
 def test_complete_respects_step_limit():
