@@ -270,8 +270,14 @@ class Engine:
             return ConfPoly.from_word(NormalWord((), tree.gen, tree.dexp))
         if not isinstance(tree, Node):
             raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
-        left = self.normalize_tree(tree.left)
+        left = self.normalize_tree(tree.left)  # validates a leaf, used or not
         right = self.normalize_tree(tree.right)
+        if len(tree.label) != self.sig.n or min(tree.label) < 0:
+            raise ValueError(f"node label {tree.label} is not a multi-index of "
+                             f"length {self.sig.n}")
+        if isinstance(tree.left, Leaf) and not any(tree.left.dexp):
+            # mul_poly's one product, without a mul_words memo entry or a copy
+            return self.mul_prefix_poly(tree.left.gen, tree.label, right)
         return self.mul_poly(left, tree.label, right)
 
     def normalize(self, comb: LinComb) -> ConfPoly:

@@ -29,7 +29,9 @@ tail bounds are read with one token grammar: whitespace may sit between
 any two tokens, a ``#`` comment may follow any token and runs to the end of
 its line, and in a file a line break ends an entry.  Parsing is strict:
 unknown generators, index-arity mismatches, and stray tokens raise
-:class:`ParseError` carrying the line and column.
+:class:`ParseError` carrying the line and column.  A parsed coefficient is
+an ``int`` when it is whole (``4/2`` reads as ``2``) and a ``Fraction``
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,17 +39,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .indices import MultiIndex
 from .words import (
     AlgebraSignature,
+    Coeff,
     ConfPoly,
     ExprTree,
     Leaf,
     LinComb,
     Node,
     NormalWord,
+    exact,
 )
 
 __all__ = [
@@ -80,100 +84,82 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# tokenizer
-
-
-class _Token(NamedTuple):
-    kind: str  # "int", "name", "end", or the punctuation text itself
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct><|>|\{|\}|\(|\)|\[|\]|:|,|\+|-|\*|/)"
-    r"|(?P<bad>.)"
-)
-
-
-def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
-    """The tokens of ``text``, closed by an ``end`` token that sits just
-    after the last real token, or at ``(line, col)`` when there is none."""
-    out = []
-    end = (line, col)
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        piece = m.group()
-        if kind == "ws":
-            newlines = piece.count("\n")
-            if newlines:
-                line += newlines
-                col = len(piece) - piece.rfind("\n")
-            else:
-                col += len(piece)
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {piece!r}", line, col)
-        if kind != "comment":
-            # tuple.__new__ skips NamedTuple's Python-level __new__: 15% of this loop
-            out.append(tuple.__new__(_Token, (piece if kind == "punct" else kind,
-                                              piece, line, col)))
-            end = (line, col + len(piece))
-        col += len(piece)
-    out.append(_Token("end", "", *end))
-    return out
-
-
-# --------------------------------------------------------------------------
 # parser
 
 
+# a token is an ``int`` (``\d``, so any decimal digit), an ASCII ``name`` or
+# one punctuation character; whitespace separates tokens
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[<>{}()\[\]:,+\-*/]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_<>{}()\[\]:,+\-*/]")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_KINDS = {"int": str.isdecimal, "name": str.isidentifier}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token],
+    def __init__(self, text: str, line: int = 1, col: int = 1,
                  sig: Optional[AlgebraSignature] = None):
-        self.tokens = tokens  # closed by an "end" token, which is never consumed
+        # the tokenizer: a comment runs to the end of its line, so dropping it
+        # moves no token's line or column
+        self.text = text = _COMMENT_RE.sub("", text)
+        self.origin = (line, col)
+        bad = _BAD_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", *self._at(bad.start()))
+        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end token, never consumed
         self.sig = sig  # None until a presentation's header has been read
         self.pos = 0
 
     # -- token plumbing --
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _at(self, offset: int) -> tuple[int, int]:
+        """The line and column of ``self.text[offset]``."""
+        newline = self.text.rfind("\n", 0, offset)
+        if newline < 0:
+            return self.origin[0], self.origin[1] + offset
+        return self.origin[0] + self.text.count("\n", 0, offset), offset - newline
 
-    def _accept(self, *kinds: str) -> Optional[_Token]:
-        """Consume and return the next token if its kind is in ``kinds``."""
+    def _where(self, k: int) -> tuple[int, int]:
+        """The line and column of token ``k``: the end token sits just after
+        the last real token, or at the origin when there is none."""
+        last = len(self.tokens) - 1
+        if not last:
+            return self.origin
+        match = list(_TOKEN_RE.finditer(self.text))[min(k, last - 1)]
+        return self._at(match.start() if k < last else match.end())
+
+    def _accept(self, *texts: str) -> Optional[str]:
+        """Consume and return the next token if it is one of ``texts``."""
         tok = self.tokens[self.pos]
-        if tok.kind not in kinds:
+        if tok not in texts:
             return None
         self.pos += 1
         return tok
 
-    def _expect(self, *kinds: str) -> _Token:
-        tok = self._accept(*kinds)
-        if tok is None:
-            tok = self._peek()
-            got = "end of input" if tok.kind == "end" else repr(tok.text)
-            self._fail(f"expected {' or '.join(map(repr, kinds))}, got {got}")
-        return tok
+    def _expect(self, *kinds: str) -> str:
+        """Consume and return the next token, which must be of one of
+        ``kinds``: ``"int"``, ``"name"`` or a punctuation text."""
+        tok = self.tokens[self.pos]
+        for kind in kinds:
+            if _KINDS.get(kind, kind.__eq__)(tok):
+                self.pos += 1
+                return tok
+        got = repr(tok) if tok else "end of input"
+        self._fail(f"expected {' or '.join(map(repr, kinds))}, got {got}")
 
-    def _fail(self, message: str):
-        tok = self._peek()
-        raise ParseError(message, tok.line, tok.col)
+    def _fail(self, message: str, k: Optional[int] = None):
+        """Raise ``message`` at token ``k``, the next token by default."""
+        raise ParseError(message, *self._where(self.pos if k is None else k))
 
     def expect_end(self) -> None:
-        tok = self._peek()
-        if tok.kind != "end":
-            self._fail(f"unexpected trailing {tok.text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            self._fail(f"unexpected trailing {tok!r}")
 
     # -- expressions --
 
     def parse_sum(self, body=None) -> LinComb:
         """A signed sum up to the end token; a lone ``0`` is the empty sum."""
-        if self._peek().text == "0" and self.tokens[self.pos + 1].kind == "end":
+        if self.tokens[self.pos] == "0" and self.tokens[self.pos + 1] == "":
             return []
         comb = self.parse_comb(body)
         self.expect_end()
@@ -184,37 +170,39 @@ class _Parser:
         grammar rule, a product by default."""
         body = body or _Parser.parse_product
         out: LinComb = []
-        tok = self._accept("+", "-")
+        sign = self._accept("+", "-")
         while True:
             coeff = self.parse_coeff()
-            if tok is not None and tok.kind == "-":
+            if sign == "-":
                 coeff = -coeff
             for c, tree in body(self):
-                out.append((coeff * c, tree))
-            tok = self._accept("+", "-")
-            if tok is None:
+                out.append((exact(coeff * c), tree))
+            sign = self._accept("+", "-")
+            if sign is None:
                 return out
 
-    def parse_coeff(self) -> Fraction:
-        """An optional ``int``, ``int/int`` or either followed by ``*``."""
-        tok = self._accept("int")
-        if tok is None:
-            return Fraction(1)
-        coeff = Fraction(int(tok.text))
+    def parse_coeff(self) -> Coeff:
+        """An optional ``int``, ``int/int`` or either followed by ``*``;
+        whole values are ``int``."""
+        tok = self.tokens[self.pos]
+        if not tok.isdecimal():
+            return 1
+        self.pos += 1
+        coeff = int(tok)
         if self._accept("/"):
-            den_tok = self._expect("int")
-            if int(den_tok.text) == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            coeff /= int(den_tok.text)
+            den = int(self._expect("int"))
+            if den == 0:
+                self._fail("zero denominator", self.pos - 1)
+            coeff = exact(Fraction(coeff, den))
         self._accept("*")
         return coeff
 
     def parse_generator(self) -> LinComb:
         """A bare generator, without a derivation prefix or a product."""
-        tok = self._accept("name")
-        if tok is None:
+        if not self.tokens[self.pos].isidentifier():
             self._fail("expected a generator")
-        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+        self.pos += 1
+        return [(1, Leaf(self._gen(self.pos - 1), self.sig.zero_exp()))]
 
     def parse_product(self) -> LinComb:
         left = self.parse_atom()
@@ -223,7 +211,7 @@ class _Parser:
             self._expect(">")
             right = self.parse_product()  # chains associate to the right
             return [
-                (cl * cr, Node(tl, m, tr))
+                (exact(cl * cr), Node(tl, m, tr))
                 for cl, tl in left
                 for cr, tr in right
             ]
@@ -234,61 +222,64 @@ class _Parser:
             comb = self.parse_comb()
             self._expect(")")
             return comb
-        tok = self._accept("name")
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
             self._fail("expected a generator or '('")
-        if tok.text == "D" and self._accept("{"):
+        self.pos += 1
+        dexp = self.sig.zero_exp()
+        if tok == "D" and self._accept("{"):
             dexp = self.parse_index_list(self.sig.n)
             self._expect("}")
-            gen_tok = self._accept("name")
-            if gen_tok is None:
+            if not self.tokens[self.pos].isidentifier():
                 self._fail("derivation prefix requires a generator")
-            return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
-        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+            self.pos += 1
+        return [(1, Leaf(self._gen(self.pos - 1), dexp))]
 
     def parse_index_list(self, n: int) -> MultiIndex:
-        open_tok = self._peek()
-        entries = [int(self._expect("int").text)]
+        start = self.pos
+        entries = [int(self._expect("int"))]
         while self._accept(","):
-            entries.append(int(self._expect("int").text))
+            entries.append(int(self._expect("int")))
         if len(entries) != n:
-            raise ParseError(f"index arity {len(entries)} does not match n = {n}",
-                             open_tok.line, open_tok.col)
+            self._fail(f"index arity {len(entries)} does not match n = {n}", start)
         return tuple(entries)
 
-    def _gen(self, tok: _Token) -> int:
-        """The generator a ``name`` token names or an ``int`` token indexes."""
-        gens = self.sig.generators
-        if tok.kind == "int" and int(tok.text) < len(gens):
-            return int(tok.text)
-        if tok.text not in gens:
-            raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
-        return gens.index(tok.text)
+    def _gen(self, k: int) -> int:
+        """The generator that token ``k``, a ``name`` or an ``int``, names or
+        indexes."""
+        tok, gens = self.tokens[k], self.sig.generators
+        if tok.isdecimal() and int(tok) < len(gens):
+            return int(tok)
+        if tok not in gens:
+            self._fail(f"unknown generator {tok!r}", k)
+        return gens.index(tok)
 
     # -- presentation entries --
 
-    def parse_list(self, kind: str) -> list[_Token]:
-        """A whole ``[item, ...]`` header value over tokens of ``kind``."""
+    def parse_list(self, kind: str) -> list[int]:
+        """The positions of a whole ``[item, ...]`` header value's items,
+        tokens of ``kind``."""
         self._expect("[")
-        items = [self._expect(kind)]
-        while self._accept(","):
-            items.append(self._expect(kind))
+        items: list[int] = []
+        while not items or self._accept(","):
+            items.append(self.pos)
+            self._expect(kind)
         self._expect("]")
         self.expect_end()
         return items
 
-    def parse_key(self, block: str) -> tuple[_Token, ...]:
+    def parse_key(self, block: str) -> str:
         """An entry's key and colon: ``name:``, or in a ``lie`` block
-        ``bracket(i, j):`` with ``i``, ``j`` generator names or indices."""
-        key = (self._expect("name"),)
+        ``bracket(i, j):`` with ``i``, ``j`` generator names or indices,
+        tokens 2 and 4."""
+        key = self._expect("name")
         if block == "lie":
-            if key[0].text != "bracket":
-                raise ParseError("lie entries must look like 'bracket(i, j): value'",
-                                 key[0].line, key[0].col)
+            if key != "bracket":
+                self._fail("lie entries must look like 'bracket(i, j): value'", 0)
             self._expect("(")
-            i = self._expect("name", "int")
+            self._expect("name", "int")
             self._expect(",")
-            key = (i, self._expect("name", "int"))
+            self._expect("name", "int")
             self._expect(")")
         if not self._accept(":"):
             self._fail("expected 'key: value'")
@@ -298,16 +289,16 @@ class _Parser:
 def parse_expression(sig: AlgebraSignature, text: str,
                      line: int = 1, col: int = 1) -> LinComb:
     """Parse a linear combination of labelled products over ``sig``."""
-    return _Parser(_tokenize(text, line, col), sig).parse_sum()
+    return _Parser(text, line, col, sig).parse_sum()
 
 
 def parse_index(text: str, n: int) -> MultiIndex:
     """Parse a bare product label: ``1,0`` (also ``<1,0>`` or ``[1, 0]``)."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     opener = parser._accept("<", "[")
     m = parser.parse_index_list(n)
     if opener is not None:
-        parser._expect(">" if opener.kind == "<" else "]")
+        parser._expect(">" if opener == "<" else "]")
     parser.expect_end()
     return m
 
@@ -329,7 +320,7 @@ def format_word(sig: AlgebraSignature, w: NormalWord) -> str:
     return " ".join(parts)
 
 
-def _signed_sum(terms: Iterable[tuple[Fraction, str]], sep: str = " ") -> str:
+def _signed_sum(terms: Iterable[tuple[Coeff, str]], sep: str = " ") -> str:
     """``c1 t1 - c2 t2 + ...`` over ``(coefficient, text)`` pairs, zero
     terms dropped and unit magnitudes left out; ``sep`` joins a magnitude to
     its text, and an empty sum prints ``0``."""
@@ -381,8 +372,8 @@ class Presentation:
     """A parsed presentation file: signature, named relations, bracket table."""
 
     signature: AlgebraSignature
-    relations: tuple[tuple[str, tuple[tuple[Fraction, ExprTree], ...]], ...]
-    brackets: Optional[tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]]
+    relations: tuple[tuple[str, tuple[tuple[Coeff, ExprTree], ...]], ...]
+    brackets: Optional[tuple[tuple[tuple[int, int], tuple[tuple[int, Coeff], ...]], ...]]
 
     def canonical(self) -> str:
         sig = self.signature
@@ -411,33 +402,31 @@ _HEADER_KEYS = ("n", "locality", "generators")
 def parse_presentation(text: str) -> Presentation:
     """Parse a presentation file (see the module docstring for the grammar)."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # block -> {entry key: its parser, left after the colon until the header is read}
+    # block -> {entry name, or a lie entry's line: its parser, left after the
+    # colon until the header is read}
     entries: dict[str, dict] = {}
     block: Optional[str] = None
     for lineno, line in enumerate(text.split("\n"), 1):
-        tokens = _tokenize(line, lineno)
-        first = tokens[0]
-        if first.kind == "end":
+        parser = _Parser(line, lineno)
+        first = parser.tokens[0]
+        if not first:
             continue
-        if len(tokens) == 2 and first.text in _BLOCKS:
-            if first.text in entries:
-                raise ParseError(f"duplicate {first.text!r} block", lineno, first.col)
-            block = first.text
+        if len(parser.tokens) == 2 and first in _BLOCKS:
+            if first in entries:
+                parser._fail(f"duplicate {first!r} block", 0)
+            block = first
             entries[block] = {}
             continue
         if block is None:
-            raise ParseError("expected a block header "
-                             "('algebra', 'relations', or 'lie')", lineno, first.col)
-        parser = _Parser(tokens)
-        key = parser.parse_key(block)
-        name = key[0].text
+            parser._fail("expected a block header ('algebra', 'relations', or 'lie')", 0)
+        name = parser.parse_key(block)
         if block == "lie":
-            entries[block][key] = parser
+            entries[block][lineno] = parser
         elif block == "algebra" and name not in _HEADER_KEYS:
-            raise ParseError(f"unknown algebra key {name!r}", lineno, first.col)
+            parser._fail(f"unknown algebra key {name!r}", 0)
         elif name in entries[block]:
             what = "algebra key" if block == "algebra" else "relation name"
-            raise ParseError(f"duplicate {what} {name!r}", lineno, first.col)
+            parser._fail(f"duplicate {what} {name!r}", 0)
         else:
             entries[block][name] = parser
 
@@ -445,22 +434,23 @@ def parse_presentation(text: str) -> Presentation:
     for required in _HEADER_KEYS:
         if required not in header:
             raise ParseError(f"algebra block must define {required!r}")
-    n_tok = header["n"]._expect("int")
-    header["n"].expect_end()
-    n = int(n_tok.text)
+    n_parser, loc, gen = header["n"], header["locality"], header["generators"]
+    n = int(n_parser._expect("int"))
+    n_parser.expect_end()
     if n < 1:
-        raise ParseError("n must be at least 1", n_tok.line, n_tok.col)
-    bounds = header["locality"].parse_list("int")
-    if len(bounds) != n:
-        raise ParseError(f"locality has {len(bounds)} entries for n = {n}",
-                         bounds[0].line, bounds[0].col)
-    if any(int(tok.text) < 1 for tok in bounds):
-        raise ParseError("locality bounds must be positive", bounds[0].line)
-    gens = header["generators"].parse_list("name")
-    names = tuple(tok.text for tok in gens)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate generator names", gens[0].line)
-    sig = AlgebraSignature(n, tuple(int(tok.text) for tok in bounds), names)
+        n_parser._fail("n must be at least 1", 2)  # after ``n :``
+    items = loc.parse_list("int")
+    if len(items) != n:
+        loc._fail(f"locality has {len(items)} entries for n = {n}", items[0])
+    bounds = tuple(int(loc.tokens[k]) for k in items)
+    if 0 in bounds:  # the items are decimal, so 0 is the one bound below 1
+        loc._fail("locality bounds must be positive", items[bounds.index(0)])
+    names: list[str] = []
+    for k in gen.parse_list("name"):
+        if gen.tokens[k] in names:
+            gen._fail(f"duplicate generator name {gen.tokens[k]!r}", k)
+        names.append(gen.tokens[k])
+    sig = AlgebraSignature(n, bounds, tuple(names))
     for parser in (p for parsers in entries.values() for p in parsers.values()):
         parser.sig = sig
 
@@ -469,11 +459,10 @@ def parse_presentation(text: str) -> Presentation:
     brackets = None
     if "lie" in entries:
         table = {}
-        for (ti, tj), parser in entries["lie"].items():
-            key = parser._gen(ti), parser._gen(tj)
+        for parser in entries["lie"].values():
+            key = parser._gen(2), parser._gen(4)
             if key in table:
-                raise ParseError(f"duplicate bracket({ti.text}, {tj.text})",
-                                 ti.line, ti.col)
+                parser._fail(f"duplicate bracket({parser.tokens[2]}, {parser.tokens[4]})", 2)
             comb = parser.parse_sum(_Parser.parse_generator)
             table[key] = tuple((leaf.gen, c) for c, leaf in comb)
         brackets = tuple(sorted(table.items()))

@@ -124,6 +124,8 @@ Coeff = Union[int, Fraction]
 
 def exact(c) -> Coeff:
     """``c`` as an exact coefficient: an ``int`` when whole, else a ``Fraction``."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -281,7 +283,7 @@ class Node:
 # not ``Union[Leaf, Node]``: typing caches that, and the cache would keep every
 # imported copy of this module alive
 ExprTree = Leaf | Node
-LinComb = list[tuple[Fraction, ExprTree]]
+LinComb = list[tuple[Coeff, ExprTree]]
 
 
 def tree_leaves(tree: ExprTree) -> int:

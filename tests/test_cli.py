@@ -363,11 +363,18 @@ def test_expression_errors_exit_65(golden, capsys, expr):
     assert err.startswith("confgsb: error: line 1, col ")
 
 
-def test_presentation_errors_exit_65(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("algebra\n  n: 2\n", "algebra block must define 'locality'"),
+    ("algebra\n  n: 2\n  locality: [2, 0]\n  generators: [a]\n",
+     "line 3, col 17: locality bounds must be positive"),
+    ("algebra\n  n: 1\n  locality: [2]\n  generators: [a, b, a]\n",
+     "line 4, col 22: duplicate generator name 'a'"),
+])
+def test_presentation_errors_exit_65(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.alg"
-    bad.write_text("algebra\n  n: 2\n")
-    code, _, err = run(capsys, "check", str(bad))
-    assert code == 65 and "error" in err
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out, err) == (65, "", f"confgsb: error: {message}\n")
 
 
 def test_invalid_lie_table_exits_65(tmp_path, capsys):

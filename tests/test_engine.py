@@ -173,6 +173,66 @@ def test_normalize_rejects_unknown_generator():
         eng().normalize_tree(Leaf(3, (0, 0)))
 
 
+@pytest.mark.parametrize("left", [Leaf(0, (0, 0)), Leaf(0, (1, 0)),
+                                  Node(Leaf(0, (0, 0)), (0, 0), Leaf(0, (0, 0)))],
+                         ids=["generator", "derived", "product"])
+@pytest.mark.parametrize("label", [(0,), (0, 0, 0), (-1, 0), (1, -1)])
+def test_normalize_rejects_malformed_node_labels(left, label):
+    with pytest.raises(ValueError, match="node label"):
+        eng().normalize_tree(Node(left, label, Leaf(0, (0, 1))))
+
+
+def _mul_poly_route(e, tree):
+    """``normalize_tree`` with every node through ``mul_poly``, the route a
+    bare-generator left operand took before it went to ``mul_prefix_poly``."""
+    if isinstance(tree, Leaf):
+        return e.normalize_tree(tree)
+    return e.mul_poly(_mul_poly_route(e, tree.left), tree.label,
+                      _mul_poly_route(e, tree.right))
+
+
+@pytest.mark.parametrize("kw", [{"check": True}, {"check": False}, {"cache": False}],
+                         ids=["check", "plain", "no-cache"])
+@pytest.mark.parametrize("sig", [AlgebraSignature(2, (2, 2), ("a", "b")),
+                                 AlgebraSignature(2, (2, 3), ("a",)),
+                                 AlgebraSignature(1, (3,), ("x", "y"))],
+                         ids=["(2,2)", "(2,3)", "(3)"])
+def test_generator_led_prepend_matches_mul_poly_route(sig, kw):
+    # the same terms in the same order with the same coefficient types as
+    # mul_poly gave, and the oracle's result, under valid and invalid labels
+    # and over derived and D-free right operands
+    rng = random.Random(f"{sig}{kw}")
+
+    def rand_tree(leaves, dfree):
+        if leaves == 1:
+            dexp = tuple(0 if dfree else rng.choice((0, 0, 1, 2)) for _ in range(sig.n))
+            return Leaf(rng.randrange(len(sig.generators)), dexp)
+        k = rng.randint(1, leaves - 1)
+        label = tuple(rng.randint(0, b) for b in sig.locality)  # b itself is invalid
+        return Node(rand_tree(k, dfree), label, rand_tree(leaves - k, dfree))
+
+    routed = words = 0
+    for _ in range(60):
+        tree = rand_tree(rng.randint(2, 4), dfree=rng.random() < 0.4)
+        comb = [(rng.choice((1, -2, Fraction(1, 3))), tree)]
+        e = Engine(sig, **kw)
+        got = e.normalize_tree(tree)
+        want = _mul_poly_route(Engine(sig, **kw), tree)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        assert e.normalize(comb).terms == naive_normalize(sig, comb)
+        routed += isinstance(tree.left, Leaf) and not any(tree.left.dexp)
+        words += e.memo_sizes()["words"]
+    assert routed > 10 and (words > 0) == kw.get("cache", True)
+
+
+def test_right_nested_valid_chain_takes_no_words_memo_entry():
+    e = eng()
+    chain = Node(Leaf(0, (0, 0)), (1, 1), Node(Leaf(0, (0, 0)), (0, 1), Leaf(0, (1, 0))))
+    assert e.normalize_tree(chain) == poly((1, word2((1, 1), (0, 1), taild=(1, 0))))
+    assert e.memo_sizes()["words"] == 0 and e.memo_sizes()["prefix"] == 0
+
+
 # --- the golden identity suite -----------------------------------------------
 
 

@@ -3,7 +3,8 @@
 import random
 import re
 from fractions import Fraction
-from typing import Optional
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,6 @@ from confgsb.engine import Engine
 from confgsb.parsing import (
     ParseError,
     Presentation,
-    _Parser,
-    _tokenize,
     format_gen_combo,
     format_index,
     format_lincomb,
@@ -23,7 +22,8 @@ from confgsb.parsing import (
     parse_index,
     parse_presentation,
 )
-from confgsb.words import AlgebraSignature, ConfPoly, Leaf, Node, NormalWord
+from confgsb.indices import MultiIndex
+from confgsb.words import AlgebraSignature, ConfPoly, Leaf, LinComb, Node, NormalWord
 
 SIG = AlgebraSignature(2, (2, 2), ("a",))
 SIG2 = AlgebraSignature(2, (2, 2), ("a", "b"))
@@ -366,6 +366,34 @@ def test_presentation_error_positions(src, old, new, where, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, where, message",
+    [
+        ("[2, 2]", "[2, 0]", (4, 17), "locality bounds must be positive"),
+        ("[2, 2]", "[0, 0]", (4, 14), "locality bounds must be positive"),
+        ("[a]", "[a, b, a]", (5, 22), "duplicate generator name 'a'"),
+        ("[a]", "[b, a, a, b]", (5, 22), "duplicate generator name 'a'"),
+    ],
+)
+def test_header_value_errors_name_their_column(old, new, where, message):
+    # the first bound below 1 and the first repeated name, not the line alone
+    with pytest.raises(ParseError) as info:
+        parse_presentation(GOLDEN_FILE.replace(old, new))
+    assert str(info.value) == f"line {where[0]}, col {where[1]}: {message}"
+
+
+def test_whole_coefficients_parse_as_int():
+    comb = parse_expression(SIG, "4 a<1,1> a - a + 4/2 a - 1/2 a + 1/2 (2 a) + 2/3 (3/4 a)")
+    assert [c for c, _ in comb] == [4, -1, 2, Fraction(-1, 2), 1, Fraction(1, 2)]
+    assert [type(c) for c, _ in comb] == [int, int, int, Fraction, int, Fraction]
+    both = parse_presentation(BOTH_FILE)
+    coeffs = [c for _, comb in both.relations for c, _ in comb]
+    coeffs += [c for _, entries in both.brackets for _, c in entries]
+    assert coeffs == [1, -1, -1, 2, -2] and {type(c) for c in coeffs} == {int}
+    assert parse_presentation(SL2_FILE.replace("-2*f", "-3/6 f")).brackets[0][1] == (
+        (0, Fraction(-1, 2)),)
+
+
 def test_presentation_whitespace_between_any_tokens():
     spaced = (SL2_FILE.replace("bracket(h, f)", "bracket ( h ,f )")
               .replace("[f, h, e]", "[ f ,h,e ]  # three"))
@@ -378,6 +406,310 @@ def test_presentation_error_reports_file_line():
         parse_presentation(bad)
     assert info.value.line == 8  # the relation line in GOLDEN_FILE
     assert "unknown generator" in str(info.value)
+
+
+# --- the token-tuple parser that string tokens replaced -------------------------
+#
+# The library's tokenizer returns token texts and works out a token's line and
+# column only for an error.  This one builds a (kind, text, line, col) tuple
+# per token in a Python loop; every result and every error text is compared
+# against it.
+
+
+class _Token(NamedTuple):
+    kind: str  # "int", "name", "end", or the punctuation text itself
+    text: str
+    line: int
+    col: int
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct><|>|\{|\}|\(|\)|\[|\]|:|,|\+|-|\*|/)"
+    r"|(?P<bad>.)"
+)
+
+
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
+    """The tokens of ``text``, closed by an ``end`` token that sits just
+    after the last real token, or at ``(line, col)`` when there is none."""
+    out = []
+    end = (line, col)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        piece = m.group()
+        if kind == "ws":
+            newlines = piece.count("\n")
+            if newlines:
+                line += newlines
+                col = len(piece) - piece.rfind("\n")
+            else:
+                col += len(piece)
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {piece!r}", line, col)
+        if kind != "comment":
+            # tuple.__new__ skips NamedTuple's Python-level __new__: 15% of this loop
+            out.append(tuple.__new__(_Token, (piece if kind == "punct" else kind,
+                                              piece, line, col)))
+            end = (line, col + len(piece))
+        col += len(piece)
+    out.append(_Token("end", "", *end))
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token],
+                 sig: Optional[AlgebraSignature] = None):
+        self.tokens = tokens  # closed by an "end" token, which is never consumed
+        self.sig = sig  # None until a presentation's header has been read
+        self.pos = 0
+
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def _accept(self, *kinds: str) -> Optional[_Token]:
+        """Consume and return the next token if its kind is in ``kinds``."""
+        tok = self.tokens[self.pos]
+        if tok.kind not in kinds:
+            return None
+        self.pos += 1
+        return tok
+
+    def _expect(self, *kinds: str) -> _Token:
+        tok = self._accept(*kinds)
+        if tok is None:
+            tok = self._peek()
+            got = "end of input" if tok.kind == "end" else repr(tok.text)
+            self._fail(f"expected {' or '.join(map(repr, kinds))}, got {got}")
+        return tok
+
+    def _fail(self, message: str):
+        tok = self._peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def expect_end(self) -> None:
+        tok = self._peek()
+        if tok.kind != "end":
+            self._fail(f"unexpected trailing {tok.text!r}")
+
+    # -- expressions --
+
+    def parse_sum(self, body=None) -> LinComb:
+        """A signed sum up to the end token; a lone ``0`` is the empty sum."""
+        if self._peek().text == "0" and self.tokens[self.pos + 1].kind == "end":
+            return []
+        comb = self.parse_comb(body)
+        self.expect_end()
+        return comb
+
+    def parse_comb(self, body=None) -> LinComb:
+        """A signed sum of terms ``[coefficient] body``, where ``body`` is a
+        grammar rule, a product by default."""
+        body = body or _Parser.parse_product
+        out: LinComb = []
+        tok = self._accept("+", "-")
+        while True:
+            coeff = self.parse_coeff()
+            if tok is not None and tok.kind == "-":
+                coeff = -coeff
+            for c, tree in body(self):
+                out.append((coeff * c, tree))
+            tok = self._accept("+", "-")
+            if tok is None:
+                return out
+
+    def parse_coeff(self) -> Fraction:
+        """An optional ``int``, ``int/int`` or either followed by ``*``."""
+        tok = self._accept("int")
+        if tok is None:
+            return Fraction(1)
+        coeff = Fraction(int(tok.text))
+        if self._accept("/"):
+            den_tok = self._expect("int")
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            coeff /= int(den_tok.text)
+        self._accept("*")
+        return coeff
+
+    def parse_generator(self) -> LinComb:
+        """A bare generator, without a derivation prefix or a product."""
+        tok = self._accept("name")
+        if tok is None:
+            self._fail("expected a generator")
+        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+
+    def parse_product(self) -> LinComb:
+        left = self.parse_atom()
+        if self._accept("<"):
+            m = self.parse_index_list(self.sig.n)
+            self._expect(">")
+            right = self.parse_product()  # chains associate to the right
+            return [
+                (cl * cr, Node(tl, m, tr))
+                for cl, tl in left
+                for cr, tr in right
+            ]
+        return left
+
+    def parse_atom(self) -> LinComb:
+        if self._accept("("):
+            comb = self.parse_comb()
+            self._expect(")")
+            return comb
+        tok = self._accept("name")
+        if tok is None:
+            self._fail("expected a generator or '('")
+        if tok.text == "D" and self._accept("{"):
+            dexp = self.parse_index_list(self.sig.n)
+            self._expect("}")
+            gen_tok = self._accept("name")
+            if gen_tok is None:
+                self._fail("derivation prefix requires a generator")
+            return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
+        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+
+    def parse_index_list(self, n: int) -> MultiIndex:
+        open_tok = self._peek()
+        entries = [int(self._expect("int").text)]
+        while self._accept(","):
+            entries.append(int(self._expect("int").text))
+        if len(entries) != n:
+            raise ParseError(f"index arity {len(entries)} does not match n = {n}",
+                             open_tok.line, open_tok.col)
+        return tuple(entries)
+
+    def _gen(self, tok: _Token) -> int:
+        """The generator a ``name`` token names or an ``int`` token indexes."""
+        gens = self.sig.generators
+        if tok.kind == "int" and int(tok.text) < len(gens):
+            return int(tok.text)
+        if tok.text not in gens:
+            raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
+        return gens.index(tok.text)
+
+    # -- presentation entries --
+
+    def parse_list(self, kind: str) -> list[_Token]:
+        """A whole ``[item, ...]`` header value over tokens of ``kind``."""
+        self._expect("[")
+        items = [self._expect(kind)]
+        while self._accept(","):
+            items.append(self._expect(kind))
+        self._expect("]")
+        self.expect_end()
+        return items
+
+    def parse_key(self, block: str) -> tuple[_Token, ...]:
+        """An entry's key and colon: ``name:``, or in a ``lie`` block
+        ``bracket(i, j):`` with ``i``, ``j`` generator names or indices."""
+        key = (self._expect("name"),)
+        if block == "lie":
+            if key[0].text != "bracket":
+                raise ParseError("lie entries must look like 'bracket(i, j): value'",
+                                 key[0].line, key[0].col)
+            self._expect("(")
+            i = self._expect("name", "int")
+            self._expect(",")
+            key = (i, self._expect("name", "int"))
+            self._expect(")")
+        if not self._accept(":"):
+            self._fail("expected 'key: value'")
+        return key
+
+
+def _token_parse_expression(sig: AlgebraSignature, text: str,
+                     line: int = 1, col: int = 1) -> LinComb:
+    return _Parser(_tokenize(text, line, col), sig).parse_sum()
+
+
+def _token_parse_index(text: str, n: int) -> MultiIndex:
+    parser = _Parser(_tokenize(text))
+    opener = parser._accept("<", "[")
+    m = parser.parse_index_list(n)
+    if opener is not None:
+        parser._expect(">" if opener.kind == "<" else "]")
+    parser.expect_end()
+    return m
+
+
+_BLOCKS = ("algebra", "relations", "lie")
+_HEADER_KEYS = ("n", "locality", "generators")
+
+
+def _token_parse_presentation(text: str) -> Presentation:
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # block -> {entry key: its parser, left after the colon until the header is read}
+    entries: dict[str, dict] = {}
+    block: Optional[str] = None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tokens = _tokenize(line, lineno)
+        first = tokens[0]
+        if first.kind == "end":
+            continue
+        if len(tokens) == 2 and first.text in _BLOCKS:
+            if first.text in entries:
+                raise ParseError(f"duplicate {first.text!r} block", lineno, first.col)
+            block = first.text
+            entries[block] = {}
+            continue
+        if block is None:
+            raise ParseError("expected a block header "
+                             "('algebra', 'relations', or 'lie')", lineno, first.col)
+        parser = _Parser(tokens)
+        key = parser.parse_key(block)
+        name = key[0].text
+        if block == "lie":
+            entries[block][key] = parser
+        elif block == "algebra" and name not in _HEADER_KEYS:
+            raise ParseError(f"unknown algebra key {name!r}", lineno, first.col)
+        elif name in entries[block]:
+            what = "algebra key" if block == "algebra" else "relation name"
+            raise ParseError(f"duplicate {what} {name!r}", lineno, first.col)
+        else:
+            entries[block][name] = parser
+
+    header = entries.get("algebra", {})
+    for required in _HEADER_KEYS:
+        if required not in header:
+            raise ParseError(f"algebra block must define {required!r}")
+    n_tok = header["n"]._expect("int")
+    header["n"].expect_end()
+    n = int(n_tok.text)
+    if n < 1:
+        raise ParseError("n must be at least 1", n_tok.line, n_tok.col)
+    bounds = header["locality"].parse_list("int")
+    if len(bounds) != n:
+        raise ParseError(f"locality has {len(bounds)} entries for n = {n}",
+                         bounds[0].line, bounds[0].col)
+    if any(int(tok.text) < 1 for tok in bounds):
+        raise ParseError("locality bounds must be positive", bounds[0].line)
+    gens = header["generators"].parse_list("name")
+    names = tuple(tok.text for tok in gens)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate generator names", gens[0].line)
+    sig = AlgebraSignature(n, tuple(int(tok.text) for tok in bounds), names)
+    for parser in (p for parsers in entries.values() for p in parsers.values()):
+        parser.sig = sig
+
+    relations = tuple((name, tuple(parser.parse_sum()))
+                      for name, parser in entries.get("relations", {}).items())
+    brackets = None
+    if "lie" in entries:
+        table = {}
+        for (ti, tj), parser in entries["lie"].items():
+            key = parser._gen(ti), parser._gen(tj)
+            if key in table:
+                raise ParseError(f"duplicate bracket({ti.text}, {tj.text})",
+                                 ti.line, ti.col)
+            comb = parser.parse_sum(_Parser.parse_generator)
+            table[key] = tuple((leaf.gen, c) for c, leaf in comb)
+        brackets = tuple(sorted(table.items()))
+    return Presentation(sig, relations, brackets)
 
 
 # --- the split-and-regex parser that the one token grammar replaced ------------
@@ -527,10 +859,10 @@ lie
 _MUTATION_CHARS = "aefhnxD019 \n\t#:,[]()<>{}+-*/_²"
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def _mutate(rng: random.Random, text: str, chars: str = _MUTATION_CHARS) -> str:
     """``text`` with one character replaced, deleted or inserted."""
     k = rng.randrange(len(text))
-    c = rng.choice(_MUTATION_CHARS if rng.random() < 0.6 else text)
+    c = rng.choice(chars if rng.random() < 0.6 else text)
     return rng.choice([text[:k] + c + text[k + 1:], text[:k] + text[k + 1:],
                        text[:k] + c + text[k:]])
 
@@ -575,3 +907,116 @@ def test_presentation_matches_reference_on_mutations(src):
             assert got.line == want.line, (text, got, want)
             failed += 1
     assert parsed > 100 and failed > 100
+
+
+# --- string tokens against the token-tuple parser --------------------------------
+
+_DATA_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+# an Arabic-Indic digit (a ``\d`` that is not ASCII) and a letter that is not ASCII
+_WIDE_CHARS = _MUTATION_CHARS + "٣é"
+# the two header errors that now name the column (and the repeated generator)
+_MOVED_HEADER_ERRORS = ("locality bounds must be positive", "duplicate generator names")
+
+
+def _same_outcome(got, want, what):
+    """Equal results, or errors whose whole text (message, line, column) is equal."""
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError), (what, got, want)
+        assert (str(got), got.line, got.col) == (str(want), want.line, want.col), what
+    else:
+        assert got == want, what
+        assert [type(c) for c, _ in got] == [int if c.denominator == 1 else Fraction
+                                              for c, _ in want], what
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in _DATA_DIR.glob("*.alg")) + ["both"])
+def test_presentation_matches_token_parser_on_mutations(name):
+    """One- and two-character mutations of every benchmark file parse to the
+    token-tuple parser's presentation and canonical text, or raise its error
+    text, line and column, save the two header errors that now name a column."""
+    src = BOTH_FILE if name == "both" else (_DATA_DIR / name).read_text(encoding="utf-8")
+    rng = random.Random(name)
+    parsed = failed = 0
+    for _ in range(400):
+        text = _mutate(rng, src, _WIDE_CHARS)
+        if rng.random() < 0.5:
+            text = _mutate(rng, text, _WIDE_CHARS)
+        got = _outcome(parse_presentation, text)
+        want = _outcome(_token_parse_presentation, text)
+        if isinstance(want, Presentation):
+            assert isinstance(got, Presentation), (text, got)
+            assert got == want and got.canonical() == want.canonical(), text
+            for (_, comb), (_, ref) in zip(got.relations, want.relations):
+                _same_outcome(list(comb), list(ref), text)
+            parsed += 1
+        elif want.message in _MOVED_HEADER_ERRORS:
+            assert isinstance(got, ParseError), (text, want)
+            assert got.line == want.line and got.col is not None, (text, got)
+        else:
+            _same_outcome(got, want, text)
+            failed += 1
+    assert parsed > 20 and failed > 100
+
+
+_EXPRESSIONS = [
+    "a<0,0> a - a",
+    "3/2 (a<1,0> b)<1,1> a + D{0,1} a",
+    "-4/2 a<1,1> (a - 2*b)<0,1> D{1,1} b  # a comment\n + 1/3 a",
+    "a<0,0>\n  a   # ends here\n\n - b<1,٣> a",
+    "(a<0,1> b # (\n)<1,0> a - 0 b",
+    "2 * (a - b)<1,1> (a<0,0> b + 3/6 D{2,0} b)",
+    "0",
+    "a # é²\n",
+]
+
+
+def test_expressions_match_token_parser():
+    """Expressions at an offset, over several lines and with comments, and
+    product labels: the same results and the same error text, line and column."""
+    rng = random.Random(15)
+    failed = 0
+    for _ in range(1500):
+        text = rng.choice(_EXPRESSIONS)
+        for _ in range(rng.randrange(3) if len(text) > 1 else 0):
+            text = _mutate(rng, text, _WIDE_CHARS)
+        start = (rng.randrange(1, 9), rng.randrange(1, 30))
+        got = _outcome(lambda t: parse_expression(SIG2, t, *start), text)
+        _same_outcome(got, _outcome(lambda t: _token_parse_expression(SIG2, t, *start), text),
+                      (text, start))
+        failed += isinstance(got, ParseError)
+        label = _mutate(rng, rng.choice(["1,0", "<1,0>", " [ 2 , ٣ ] ", "0,0,1"]), _WIDE_CHARS)
+        n = rng.randrange(1, 4)
+        got = _outcome(lambda t: parse_index(t, n), label)
+        want = _outcome(lambda t: _token_parse_index(t, n), label)
+        if isinstance(want, ParseError):
+            assert (str(got), got.col) == (str(want), want.col), label
+        else:
+            assert got == want, label
+    assert failed > 300
+
+
+@pytest.mark.parametrize(
+    "text, start, where",
+    [
+        ("a<0,0> a²", (1, 1), (1, 9)),
+        ("a<0,0>\n  é", (4, 7), (5, 3)),
+        ("a # é is a comment\n - a<0,0> a ²", (2, 5), (3, 13)),
+        ("\n\n   ²", (1, 9), (3, 4)),
+    ],
+)
+def test_unexpected_character_position(text, start, where):
+    with pytest.raises(ParseError) as info:
+        parse_expression(SIG, text, *start)
+    assert (info.value.line, info.value.col) == where
+    assert info.value.message.startswith("unexpected character")
+    with pytest.raises(ParseError) as ref:
+        _token_parse_expression(SIG, text, *start)
+    assert str(info.value) == str(ref.value)
+
+
+def test_unicode_digits_are_int_tokens():
+    # ``\d`` and str.isdecimal() accept the same digits
+    assert parse_expression(SIG, "a<١,0> a") == parse_expression(SIG, "a<1,0> a")
+    assert parse_index("٣,0", 2) == (3, 0)
+    with pytest.raises(ParseError, match=r"line 1, col 2: unexpected trailing '٣'"):
+        parse_expression(SIG, "a٣ a")  # a name, then an int
