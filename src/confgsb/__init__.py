@@ -1,8 +1,8 @@
 """Exact symbolic computation and Gröbner–Shirshov bases for free associative
 n-conformal algebras.
 
-The public surface re-exports the core value types and the main entry points;
-see the README for a tour.
+The public API is the names this package binds: the core value types and main
+entry points imported below, and the submodules. See the README for a tour.
 """
 
 from .indices import (
@@ -28,7 +28,6 @@ from .words import (
     Node,
     NormalWord,
     compare_words,
-    prepend_link,
     single_word,
 )
 from .engine import Engine
@@ -68,61 +67,5 @@ from .parsing import (
     parse_expression,
     parse_presentation,
 )
-
-__all__ = [
-    "AlgebraSignature",
-    "BOUNDED_COMPLETE",
-    "COMPLETE",
-    "CompositionTask",
-    "ConfPoly",
-    "Engine",
-    "ExprTree",
-    "GSBReport",
-    "HalfPBWReport",
-    "LIMIT_REACHED",
-    "Leaf",
-    "LieAlgebraSpec",
-    "LieConformalSpec",
-    "LinComb",
-    "MultiIndex",
-    "Node",
-    "NormalWord",
-    "Occurrence",
-    "ParseError",
-    "Presentation",
-    "ReductionTrace",
-    "RewriteSystem",
-    "binom_multi",
-    "brace",
-    "bracket",
-    "commutator",
-    "compare_words",
-    "complete",
-    "enveloping_presentation",
-    "falling_factorial",
-    "format_polynomial",
-    "format_word",
-    "half_pbw_check",
-    "index_add",
-    "index_pos_part",
-    "index_sub",
-    "is_valid_index",
-    "iter_below",
-    "iter_box",
-    "lie_algebra",
-    "lie_conformal",
-    "lie_relation",
-    "loop_conformal",
-    "naive_normalize",
-    "parse_expression",
-    "parse_presentation",
-    "prepend_link",
-    "sign_of",
-    "single_word",
-    "table_entry",
-    "unit_index",
-    "validate_lie",
-    "zero_index",
-]
 
 __version__ = "0.1.0"

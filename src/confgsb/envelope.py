@@ -26,7 +26,7 @@ from .indices import (
     zero_index,
 )
 from .rewrite import RewriteSystem
-from .words import AlgebraSignature, ConfPoly, accumulate, exact, prepend_link, single_word
+from .words import AlgebraSignature, ConfPoly, NormalWord, accumulate, exact, single_word
 
 
 # -- ordinary Lie algebras -----------------------------------------------------
@@ -162,7 +162,7 @@ def brace(engine: Engine, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
 def commutator(engine: Engine, i: int, m: MultiIndex, j: int) -> ConfPoly:
     """a_i<m> a_j - {a_j<m> a_i}: the conformal commutator of two generators."""
     n = engine.sig.n
-    head = ConfPoly.from_word(prepend_link(i, m, single_word(j, n)))
+    head = ConfPoly.from_word(NormalWord(((i, m),), j, zero_index(n)))
     return head - brace(engine, j, m, ConfPoly.from_word(single_word(i, n)))
 
 

@@ -54,19 +54,6 @@ from .words import (
     exact,
 )
 
-__all__ = [
-    "ParseError",
-    "Presentation",
-    "parse_expression",
-    "parse_index",
-    "parse_presentation",
-    "format_index",
-    "format_word",
-    "format_polynomial",
-    "format_lincomb",
-    "format_gen_combo",
-]
-
 
 class ParseError(ValueError):
     """Syntax or validation error with a source position."""

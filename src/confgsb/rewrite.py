@@ -163,11 +163,6 @@ class GSBReport:
         return not self.failures
 
 
-def _labels_match(w: NormalWord, lead: NormalWord, p: int) -> bool:
-    """Do the internal link labels of ``lead`` match ``w`` at position p?"""
-    return all(w.links[p + r][1] == lead.links[r][1] for r in range(lead.length - 1))
-
-
 @dataclass(frozen=True)
 class Rule:
     """One monic relation of a rewriting system with its leading data."""
@@ -348,18 +343,10 @@ class RewriteSystem:
 
     # -- composition generation ----------------------------------------------
 
-    def _entries_for(self, k: int):
-        """Queue entries (see ``CompositionTask``) for rule k: the
-        overlap tasks of the pairs (i, k) and (k, i) for every i < k and of
-        (k, k), then k's multiplication tasks.
-
-        The leading-word index names the overlapping leads, so only they are
-        visited; per pair the tasks are those of ``overlap_tasks``.
-        """
-        return chain(self._inclusion_entries(k), self._extension_entries(k))
-
     def _inclusion_entries(self, k: int):
-        """The inclusion and right-inclusion entries of ``_entries_for(k)``."""
+        """Rule k's inclusion and right-inclusion queue entries, against itself
+        and each earlier rule both ways; ``_extension_entries(k)`` gives the rest.
+        The lead index names the overlapping leads, so only they are visited."""
         rules, index = self.rules, self._lead_index().reverse()
         g = rules[k].lead
         links, tail, nl = g.links, g.tail, len(g.links)
@@ -383,8 +370,8 @@ class RewriteSystem:
                         yield (nl, g, KIND_RANK[INCLUSION], k, i, p, 0, None, None, None)
 
     def _extension_entries(self, k: int):
-        """The intersection and product entries of ``_entries_for(k)``, each
-        of size nl + 1 or more, nl = len(links) of k's lead:
+        """The intersection and product entries of rule k, each of size
+        nl + 1 or more, nl = len(links) of k's lead:
         - lead i's suffix at p >= 1 meets k's first c letters: size p + nl;
         - k's suffix at p meets a proper prefix of lead i, of nl + 1 - p <=
           len(f_i.links) letters: size len(f_i.links) + p;
@@ -406,34 +393,6 @@ class RewriteSystem:
                     if not q and i < k:
                         yield _intersection(g, rules[i].lead, k, i, p, nl + 1 - p)
         yield from self._multiplication_entries(k)
-
-    def overlap_tasks(self, i: int, j: int) -> list[CompositionTask]:
-        """Inclusion, right-inclusion, and intersection tasks for the ordered
-        pair, each pair tried at every position: the definition that the
-        index-driven ``_entries_for`` must agree with."""
-        ri, rj = self.rules[i], self.rules[j]
-        fi, gj = ri.lead, rj.lead
-        fig, gjg = fi.gens(), gj.gens()
-        lf, lg = fi.length, gj.length
-        tasks = []
-        # the j-pattern strictly inside the i-leading word, a link following it
-        if rj.dfree:
-            for p in range(len(fi.links) - lg + 1):
-                if fig[p:p + lg] == gjg and _labels_match(fi, gj, p):
-                    tasks.append(CompositionTask(len(fi.links), fi, KIND_RANK[INCLUSION], i, j, p))
-        # the j-pattern aligned with the i-suffix, tail derivations split minimally
-        p = lf - lg
-        if (p >= 0 and fig[p:] == gjg and _labels_match(fi, gj, p)
-                and not (i == j and p == 0)):
-            tasks.append(CompositionTask._make(_right_inclusion(fi, gj, i, j, p)))
-        # proper overlap of the i-suffix with the j-prefix
-        if ri.dfree:
-            for c in range(1, min(lf, lg)):
-                p = lf - c
-                if fig[p:] == gjg[:c] and all(
-                        fi.links[p + r][1] == gj.links[r][1] for r in range(c - 1)):
-                    tasks.append(CompositionTask._make(_intersection(fi, gj, i, j, p, c)))
-        return tasks
 
     def multiplication_bounds(self, p: ConfPoly) -> MultiIndex:
         """Per-coordinate label bound M: products with any m_t >= M_t vanish.
@@ -483,17 +442,13 @@ class RewriteSystem:
                     w = NormalWord(links + ((tail, m),), g, taild)
                     yield (size, w, KIND_RANK[RIGHT_MUL], i, g, 0, 0, m, None, None)
 
-    def multiplication_tasks(self, i: int) -> list[CompositionTask]:
-        """Left products a<m>f for invalid m, and right products f<m>a for
-        non-D-free f, over the finite label box of the element."""
-        return list(map(CompositionTask._make, self._multiplication_entries(i)))
-
     def all_tasks(self) -> list[CompositionTask]:
         """Every composition task: the overlap tasks by (i, j, kind, c, pos),
         then the multiplication tasks of each element in turn."""
         overlaps, products = [], []
         for k in range(len(self)):
-            for task in map(CompositionTask._make, self._entries_for(k)):
+            for entry in chain(self._inclusion_entries(k), self._extension_entries(k)):
+                task = CompositionTask._make(entry)
                 (overlaps if task.rank < KIND_RANK[LEFT_MUL] else products).append(task)
         overlaps.sort(key=attrgetter("i", "j", "rank", "c", "pos"))
         return overlaps + products

@@ -102,10 +102,6 @@ def single_word(gen: int, n: int, taild: MultiIndex | None = None) -> NormalWord
     return NormalWord((), gen, taild if taild is not None else zero_index(n))
 
 
-def prepend_link(gen: int, m: MultiIndex, w: NormalWord) -> NormalWord:
-    return NormalWord(((gen, m),) + w.links, w.tail, w.taild)
-
-
 def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
     """Validate a word against the signature (labels valid, gens in range).
 
@@ -158,7 +154,7 @@ class ConfPoly:
         if terms:
             for w, c in terms.items():
                 if c:
-                    self.terms[w] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+                    self.terms[w] = exact(c)
 
     @classmethod
     def _raw(cls, terms: dict[NormalWord, Coeff]) -> "ConfPoly":

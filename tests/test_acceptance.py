@@ -50,7 +50,7 @@ from confgsb.indices import (
 )
 from confgsb.naive import naive_normalize
 from confgsb.parsing import format_polynomial, format_word
-from confgsb.rewrite import COMPLETE, RIGHT_MUL, RewriteSystem, complete
+from confgsb.rewrite import COMPLETE, LEFT_MUL, RIGHT_MUL, RewriteSystem, complete
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -201,7 +201,9 @@ def test_c03_vanishing_thresholds_exhaustive():
 
 
 def _single_overlap(system, i, j, expected_w, c=None):
-    tasks = [t for t in system.overlap_tasks(i, j) if c is None or t.c == c]
+    # the overlap tasks of the pair (i, j); a product task's j is a generator
+    tasks = [t for t in system.all_tasks() if (t.i, t.j) == (i, j)
+             and t.kind not in (LEFT_MUL, RIGHT_MUL) and (c is None or t.c == c)]
     assert len(tasks) == 1, tasks
     task = tasks[0]
     assert task.w == expected_w, format_word(system.sig, task.w)
@@ -529,8 +531,7 @@ def _right_product_closure(L, engine) -> RewriteSystem:
     them all at once leaves 4 of the 15 abelian (2,2) remainders nonzero.
     """
     system = enveloping_presentation(L, engine)
-    tasks = [task for i in range(len(system))
-             for task in system.multiplication_tasks(i) if task.kind == RIGHT_MUL]
+    tasks = [task for task in system.all_tasks() if task.kind == RIGHT_MUL]
     for task in tasks:
         remainder, _ = system.reduce(system.eval_composition(task))
         if not remainder.is_zero():

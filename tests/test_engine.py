@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confgsb.engine import Engine
-from confgsb.envelope import enveloping_presentation, lie_conformal
+from confgsb.envelope import enveloping_presentation, lie_algebra, lie_conformal, loop_conformal
 from confgsb.indices import (
     binom_multi,
     falling_factorial,
@@ -32,7 +32,6 @@ from confgsb.words import (
     Node,
     NormalWord,
     accumulate,
-    prepend_link,
     single_word,
     tree_is_dfree,
 )
@@ -523,6 +522,10 @@ def test_whole_coefficients_stay_int():
     assert status == LIMIT_REACHED and len(system) == 197
     assert any(type(c) is Fraction for p in system.elements for c in p.terms.values())
     assert not _whole_fractions(relations + system.elements)
+    # the sl2 loop table of ``perfbench/data/sl2_loop.alg``: whole brackets
+    sl2 = lie_algebra(("e", "h", "f"), {(1, 0): [(0, 2)], (1, 2): [(2, -2)], (0, 2): [(1, 1)]})
+    relations = enveloping_presentation(loop_conformal(sl2, 1)).elements
+    assert len(relations) == 3 and not _whole_fractions(relations)
 
 
 def test_memo_values_survive_accumulation():
@@ -603,7 +606,7 @@ class _ReferenceEngine(Engine):
             return hit
         sig = self.sig
         if sig.is_valid(m):
-            out = ConfPoly.from_word(prepend_link(gen, m, w))
+            out = ConfPoly.from_word(NormalWord(((gen, m),) + w.links, w.tail, w.taild))
         elif w.length == 1:
             if w.is_dfree():
                 out = ConfPoly.zero()

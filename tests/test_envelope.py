@@ -25,7 +25,6 @@ from confgsb.words import (
     ConfPoly,
     NormalWord,
     compare_words,
-    prepend_link,
     single_word,
 )
 
@@ -280,7 +279,7 @@ def test_half_pbw_abelian_locality_two():
     for (i, j, k, m, mp), remainder in report.failures:
         assert (i, j, k) == (2, 1, 0)
         assert not remainder.is_zero()
-        top = prepend_link(i, m, prepend_link(j, mp, single_word(k, 2)))
+        top = word(((i, m), (j, mp)), k)
         assert compare_words(remainder.leading_word(), top) < 0
     # deterministic: a second run reports identical remainders
     again = half_pbw_check(L)

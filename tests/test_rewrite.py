@@ -28,7 +28,9 @@ from confgsb.rewrite import (
     Occurrence,
     RewriteSystem,
     TraceStep,
+    _intersection,
     _LeadIndex,
+    _right_inclusion,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -185,9 +187,50 @@ def test_reduction_confluent_on_completed_system():
 # -- overlap tasks and their evaluations --------------------------------------
 
 
+def _labels_match(u, lead, p):
+    """Do the internal link labels of ``lead`` match ``u`` at position p?"""
+    return all(u.links[p + r][1] == lead.links[r][1] for r in range(lead.length - 1))
+
+
+def overlap_tasks(system, i, j):
+    """Reference: the inclusion, right-inclusion and intersection tasks of
+    the ordered pair (i, j), each tried at every position.  The library
+    draws them from its lead index, and ``test_entries_match_overlap_tasks``
+    holds the two equal."""
+    ri, rj = system.rules[i], system.rules[j]
+    fi, gj = ri.lead, rj.lead
+    fig, gjg = fi.gens(), gj.gens()
+    lf, lg = fi.length, gj.length
+    tasks = []
+    # the j-pattern strictly inside the i-leading word, a link following it
+    if rj.dfree:
+        for p in range(len(fi.links) - lg + 1):
+            if fig[p:p + lg] == gjg and _labels_match(fi, gj, p):
+                tasks.append(CompositionTask(len(fi.links), fi, KIND_RANK[INCLUSION], i, j, p))
+    # the j-pattern aligned with the i-suffix, tail derivations split minimally
+    p = lf - lg
+    if (p >= 0 and fig[p:] == gjg and _labels_match(fi, gj, p)
+            and not (i == j and p == 0)):
+        tasks.append(CompositionTask._make(_right_inclusion(fi, gj, i, j, p)))
+    # proper overlap of the i-suffix with the j-prefix
+    if ri.dfree:
+        for c in range(1, min(lf, lg)):
+            p = lf - c
+            if fig[p:] == gjg[:c] and all(
+                    fi.links[p + r][1] == gj.links[r][1] for r in range(c - 1)):
+                tasks.append(CompositionTask._make(_intersection(fi, gj, i, j, p, c)))
+    return tasks
+
+
+def multiplication_tasks(system, i):
+    """Left products a<m>f for invalid m, and right products f<m>a for
+    non-D-free f, over the finite label box of rule i."""
+    return list(map(CompositionTask._make, system._multiplication_entries(i)))
+
+
 def test_self_overlap_of_quadratic_relation():
     sys_f = RewriteSystem(ENG, [F])
-    tasks = sys_f.overlap_tasks(0, 0)
+    tasks = overlap_tasks(sys_f, 0, 0)
     assert [t.kind for t in tasks] == [INTERSECTION]
     task = tasks[0]
     assert task.w == w((0, 0), (0, 0)) and task.c == 1
@@ -196,7 +239,7 @@ def test_self_overlap_of_quadratic_relation():
 
 def test_intersection_f_with_g_evaluates_to_minus_g():
     system = RewriteSystem(ENG, [F, G])
-    tasks = system.overlap_tasks(0, 1)
+    tasks = overlap_tasks(system, 0, 1)
     assert [t.kind for t in tasks] == [INTERSECTION]
     task = tasks[0]
     assert task.w == w((0, 0), (1, 0), (1, 0))
@@ -205,7 +248,7 @@ def test_intersection_f_with_g_evaluates_to_minus_g():
 
 def test_self_overlaps_of_cubic_relation_vanish():
     sys_g = RewriteSystem(ENG, [G])
-    tasks = sys_g.overlap_tasks(0, 0)
+    tasks = overlap_tasks(sys_g, 0, 0)
     assert [t.kind for t in tasks] == [INTERSECTION, INTERSECTION]
     by_c = {t.c: t for t in tasks}
     assert by_c[1].w == w((1, 0), (1, 0), (1, 0), (1, 0))
@@ -216,7 +259,7 @@ def test_self_overlaps_of_cubic_relation_vanish():
 
 def test_intersection_g_with_q_reduces_via_s():
     system = RewriteSystem(ENG, [G, Q, S])
-    tasks = [t for t in system.overlap_tasks(0, 1) if t.c == 1]
+    tasks = [t for t in overlap_tasks(system, 0, 1) if t.c == 1]
     assert len(tasks) == 1
     task = tasks[0]
     assert task.w == w((1, 0), (1, 0), (1, 1), (0, 1))
@@ -230,7 +273,7 @@ def test_intersection_g_with_q_reduces_via_s():
 
 def test_intersection_g_with_h_needs_s_not_just_q():
     system = RewriteSystem(ENG, [G, H])
-    tasks = [t for t in system.overlap_tasks(0, 1) if t.c == 1]
+    tasks = [t for t in overlap_tasks(system, 0, 1) if t.c == 1]
     task = tasks[0]
     assert task.w == w((1, 0), (1, 0), (0, 1), (0, 1))
     comp = system.eval_composition(task)
@@ -249,12 +292,12 @@ def test_right_inclusion_same_pattern_different_tails():
     e1 = mono((1, 0), taild=(1, 1))
     e2 = mono((1, 0), taild=(1, 0))
     system = RewriteSystem(ENG, [e1, e2])
-    t01 = system.overlap_tasks(0, 1)
+    t01 = overlap_tasks(system, 0, 1)
     assert [t.kind for t in t01] == [RIGHT_INCLUSION]
     assert t01[0].alpha == (0, 0) and t01[0].beta == (0, 1)
     assert t01[0].w == w((1, 0), taild=(1, 1))
     assert system.eval_composition(t01[0]).is_zero()
-    t10 = system.overlap_tasks(1, 0)
+    t10 = overlap_tasks(system, 1, 0)
     assert [t.kind for t in t10] == [RIGHT_INCLUSION]
     assert t10[0].alpha == (0, 1) and t10[0].beta == (0, 0)
     assert t10[0].w == w((1, 0), taild=(1, 1))
@@ -265,7 +308,7 @@ def test_right_inclusion_mixed_tail_supports():
     e3 = mono((1, 0), taild=(2, 0))
     e4 = mono((1, 0), taild=(0, 1))
     system = RewriteSystem(ENG, [e3, e4])
-    tasks = system.overlap_tasks(0, 1)
+    tasks = overlap_tasks(system, 0, 1)
     assert [t.kind for t in tasks] == [RIGHT_INCLUSION]
     task = tasks[0]
     assert task.alpha == (0, 1) and task.beta == (2, 0)
@@ -275,14 +318,14 @@ def test_right_inclusion_mixed_tail_supports():
 
 def test_right_inclusion_skips_identity_pair():
     sys_f = RewriteSystem(ENG, [F])
-    assert all(t.kind != RIGHT_INCLUSION for t in sys_f.overlap_tasks(0, 0))
+    assert all(t.kind != RIGHT_INCLUSION for t in overlap_tasks(sys_f, 0, 0))
 
 
 def test_inclusion_of_short_pattern_with_junction():
     big = ConfPoly.from_word(w((1, 0), (1, 0))) + mono()
     small = mono((1, 0))
     system = RewriteSystem(ENG, [big, small])
-    tasks = system.overlap_tasks(0, 1)
+    tasks = overlap_tasks(system, 0, 1)
     kinds = [t.kind for t in tasks]
     assert kinds == [INCLUSION, RIGHT_INCLUSION, INTERSECTION]
     inc = tasks[0]
@@ -304,7 +347,7 @@ def test_multiplication_bounds():
 
 def test_multiplication_tasks_for_dfree_quadratic():
     sys_f = RewriteSystem(ENG, [F])
-    tasks = sys_f.multiplication_tasks(0)
+    tasks = multiplication_tasks(sys_f, 0)
     assert all(t.kind == LEFT_MUL for t in tasks)
     assert sorted(t.m for t in tasks) == [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
     by_m = {t.m: t for t in tasks}
@@ -317,7 +360,7 @@ def test_multiplication_tasks_for_dfree_quadratic():
 
 def test_multiplication_tasks_for_derived_generator():
     sys_d = RewriteSystem(ENG, [mono(taild=(1, 0))])
-    tasks = sys_d.multiplication_tasks(0)
+    tasks = multiplication_tasks(sys_d, 0)
     left = [t for t in tasks if t.kind == LEFT_MUL]
     right = [t for t in tasks if t.kind == RIGHT_MUL]
     assert sorted(t.m for t in left) == [(2, 0), (2, 1)]
@@ -332,7 +375,7 @@ def test_boundary_vanishing_is_checked_under_audit():
     checked = Engine(SIG, check=True)
     system = RewriteSystem(checked, [F - G])
     before = checked.invariant_checks
-    system.multiplication_tasks(0)
+    assert any(t.kind == LEFT_MUL for t in system.all_tasks())
     assert checked.invariant_checks > before
 
 
@@ -592,17 +635,17 @@ def _push_for_by_pairs(system, k):
     """Reference generator: rule k tried against itself and every earlier
     rule, both ways, by ``overlap_tasks``, then k's products."""
     for i in range(k):
-        yield from system.overlap_tasks(i, k)
-        yield from system.overlap_tasks(k, i)
-    yield from system.overlap_tasks(k, k)
-    yield from system.multiplication_tasks(k)
+        yield from overlap_tasks(system, i, k)
+        yield from overlap_tasks(system, k, i)
+    yield from overlap_tasks(system, k, k)
+    yield from multiplication_tasks(system, k)
 
 
 def _all_tasks_by_pairs(system):
     """Reference ``all_tasks``: every ordered pair in turn, then the products."""
     size = range(len(system))
-    return ([t for i in size for j in size for t in system.overlap_tasks(i, j)]
-            + [t for i in size for t in system.multiplication_tasks(i)])
+    return ([t for i in size for j in size for t in overlap_tasks(system, i, j)]
+            + [t for i in size for t in multiplication_tasks(system, i)])
 
 
 def _complete_by_pairs(engine, elements, max_steps=None, max_degree=None, max_elements=None):
@@ -675,7 +718,9 @@ def _assert_unique_keys(entries):
 def _assert_entries_match_pairs(system):
     """The generator gives the per-pair loop's tasks, each once, under
     unique heap keys; ``all_tasks`` keeps the per-pair order."""
-    entries = [entry for k in range(len(system)) for entry in system._entries_for(k)]
+    entries = [entry for k in range(len(system))
+               for entry in itertools.chain(system._inclusion_entries(k),
+                                            system._extension_entries(k))]
     reference = [t for k in range(len(system)) for t in _push_for_by_pairs(system, k)]
     assert Counter(map(CompositionTask._make, entries)) == Counter(reference)
     assert system.all_tasks() == _all_tasks_by_pairs(system)
@@ -757,7 +802,7 @@ def test_matching_leaves_the_reverse_maps_unbuilt(case):
         system.reduce(_seeded_poly(words, rng))
     index = system._index
     assert index.leads and (index.segments, index.suffixes) == ({}, {})
-    list(system._entries_for(0))  # completion reverses the index
+    list(system._inclusion_entries(0))  # completion reverses the index
     assert index.segments and index.suffixes
 
 
@@ -1007,7 +1052,7 @@ for attempt in (lambda: short.mul_words(a, (0, 0), a),
                                         Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
                     1, wrong, KIND_RANK[RIGHT_INCLUSION], 0, 0, alpha=(0, 0), beta=(0, 0))),
-                lambda: small.multiplication_tasks(0)):
+                lambda: small.all_tasks()):
     try:
         attempt()
     except RuntimeError as exc:

@@ -17,7 +17,6 @@ from confgsb.words import (
     NormalWord,
     check_word,
     compare_words,
-    prepend_link,
     single_word,
     tree_grade,
     tree_is_dfree,
@@ -51,7 +50,6 @@ def test_word_accessors():
     assert u.gens() == (0, 1, 0)
     assert u.link_sum(0) == 1 and u.link_sum(1) == 1
     assert u.grade(0) == -1 and u.grade(1) == 1
-    assert prepend_link(1, (0, 0), u).length == 4
     assert single_word(1, 2).is_dfree()
     assert check_word(SIG, u) is u
     with pytest.raises(RuntimeError, match="not a normal word"):
@@ -236,3 +234,34 @@ print("freed" if ref() is None and parser_ref() is None else "alive")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "freed"
+
+
+PUBLIC_NAMES = [
+    "AlgebraSignature", "BOUNDED_COMPLETE", "COMPLETE", "CompositionTask", "ConfPoly",
+    "Engine", "ExprTree", "GSBReport", "HalfPBWReport", "LIMIT_REACHED", "Leaf",
+    "LieAlgebraSpec", "LieConformalSpec", "LinComb", "MultiIndex", "Node", "NormalWord",
+    "Occurrence", "ParseError", "Presentation", "ReductionTrace", "RewriteSystem",
+    "binom_multi", "brace", "bracket", "commutator", "compare_words", "complete",
+    "engine", "envelope", "enveloping_presentation", "falling_factorial",
+    "format_polynomial", "format_word", "half_pbw_check", "index_add", "index_pos_part",
+    "index_sub", "indices", "is_valid_index", "iter_below", "iter_box", "lie_algebra",
+    "lie_conformal", "lie_relation", "loop_conformal", "naive", "naive_normalize",
+    "parse_expression", "parse_presentation", "parsing", "rewrite", "sign_of",
+    "single_word", "table_entry", "unit_index", "validate_lie", "words", "zero_index",
+]
+
+
+def test_public_names_are_pinned():
+    # the public API is what ``import confgsb`` binds: 52 names and the 7
+    # submodules the package imports; ``from confgsb import *`` binds the same
+    script = """
+import confgsb
+print(*sorted(name for name in vars(confgsb) if not name.startswith("_")))
+star = {}
+exec("from confgsb import *", star)
+print(*sorted(name for name in star if name != "__builtins__"))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [PUBLIC_NAMES] * 2
