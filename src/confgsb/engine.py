@@ -10,7 +10,8 @@ right operand.
 A product under a valid label only prepends a link, so it is written
 directly: it takes no memo entry, and the left-nested peel of mul_words,
 whose labels are all valid, builds its terms without accumulating (distinct
-peel terms start with distinct links).  The other word-level results (the
+peel terms start with distinct links).  A bare generator's product is
+mul_prefix's, with no mul_words entry; the other word-level results (the
 dodge, mul_words, derive_word) are memoized on immutable keys.  The peel
 and the dodge read their (−1)^|s| C(m, s) weights from one per-label table,
 and prepended words are interned so that memo results share word objects.
@@ -212,7 +213,9 @@ class Engine:
         return ConfPoly._raw(out)
 
     def mul_words(self, u: NormalWord, m: MultiIndex, v: NormalWord) -> ConfPoly:
-        """Normal form of [u]⟨m⟩[v]."""
+        """Normal form of [u]⟨m⟩[v]; mul_prefix's for a bare generator u."""
+        if not u.links and not any(u.taild):
+            return self.mul_prefix(u.tail, m, v)
         key = (u, m, v)
         hit = self._words_memo.get(key)
         if hit is not None:
@@ -270,14 +273,11 @@ class Engine:
             return ConfPoly.from_word(NormalWord((), tree.gen, tree.dexp))
         if not isinstance(tree, Node):
             raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
-        left = self.normalize_tree(tree.left)  # validates a leaf, used or not
+        left = self.normalize_tree(tree.left)
         right = self.normalize_tree(tree.right)
         if len(tree.label) != self.sig.n or min(tree.label) < 0:
             raise ValueError(f"node label {tree.label} is not a multi-index of "
                              f"length {self.sig.n}")
-        if isinstance(tree.left, Leaf) and not any(tree.left.dexp):
-            # mul_poly's one product, without a mul_words memo entry or a copy
-            return self.mul_prefix_poly(tree.left.gen, tree.label, right)
         return self.mul_poly(left, tree.label, right)
 
     def normalize(self, comb: LinComb) -> ConfPoly:

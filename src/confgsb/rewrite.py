@@ -87,9 +87,6 @@ class ReductionTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def elements_used(self) -> set[int]:
-        return {step.occ.elem for step in self.steps}
-
     def replay(self, system: "RewriteSystem") -> ConfPoly:
         """Rebuild the subtracted combination; input = remainder + replay."""
         total: dict = {}
@@ -193,8 +190,8 @@ class _LeadIndex:
     interior segment of every lead (p = 0 for its proper prefixes),
     ``suffixes`` for every suffix, the whole lead (p = 0) included.
     ``add`` queues each lead and ``reverse()`` adds the queued leads to
-    these two, since ``interreduce`` rebuilds the index after every change
-    and only matches.
+    these two, since ``interreduce`` rebuilds the index after a deletion or
+    a new lead and only matches.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -492,25 +489,27 @@ class RewriteSystem:
 
     def interreduce(self) -> "RewriteSystem":
         """A copy with each element reduced against the others until nothing
-        changes; every change restarts the sweep from the first element."""
+        changes.  Matching reads only leads and D-freeness, so the sweep goes
+        back to the first element only when a change gives an element a new
+        lead or makes it D-free; other changes leave earlier ones irreducible."""
         out = RewriteSystem(self.engine)
         rules = out.rules = list(self.rules)
-        changed = True
-        while changed:
-            changed = False
-            for i, rule in enumerate(rules):
-                r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
-                if r.is_zero():
-                    del rules[i]
-                else:
-                    r = r.monic()
-                    if r == rule.poly:
-                        continue
-                    rules[i] = _rule(r)
-                # the index holds rule positions and leading words: rebuild it
-                out._index = None
-                changed = True
-                break
+        i = 0
+        while i < len(rules):
+            rule = rules[i]
+            r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
+            if r.is_zero():
+                del rules[i]
+                out._index = None  # the index holds rule positions: rebuild it
+                continue
+            r = r.monic()
+            if r != rule.poly:
+                rules[i] = new = _rule(r)
+                if new.lead != rule.lead or new.dfree and not rule.dfree:
+                    out._index = None
+                    i = 0
+                    continue
+            i += 1
         return out
 
     def irreducible_words(self, max_length: int, max_taild: MultiIndex | None = None) -> list[NormalWord]:

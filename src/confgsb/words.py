@@ -52,12 +52,6 @@ class AlgebraSignature:
     def is_valid(self, m: MultiIndex) -> bool:
         return is_valid_index(m, self.locality)
 
-    def gen_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise KeyError(f"unknown generator {name!r}") from None
-
     def zero_exp(self) -> MultiIndex:
         return zero_index(self.n)
 

@@ -255,9 +255,9 @@ def test_c04_composition_ledger():
         failures.append(("clause 5", format_polynomial(SIG, remainder)))
     elif trace.replay(eliminators) != comp:
         failures.append(("clause 5", "trace does not replay the composition"))
-    elif trace.elements_used() != {0, 1}:
+    elif {s.occ.elem for s in trace.steps} != {0, 1}:
         failures.append(("clause 5", "Q and S are not both used",
-                         sorted(trace.elements_used())))
+                         sorted({s.occ.elem for s in trace.steps})))
     # The lemma's bound on the S-words; eval_composition already places the
     # composition below the ambient word, so this restates it.
     elif any(compare_words(step.word, ambient) >= 0 for step in trace.steps):

@@ -562,13 +562,14 @@ def test_engine_matches_naive_with_and_without_cache(cache):
 
 
 def test_memo_sizes():
-    # a product under a valid label takes no memo entry
+    # a product under a valid label takes no memo entry, and a bare
+    # generator's product no mul_words entry: the peel's four are mul_prefix's
     e = eng()
     assert set(e.memo_sizes().values()) == {0}
     e.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
     e.derive_word(0, word2((1, 1), (0, 1)))
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
-    assert e.memo_sizes() == {"prefix": 20, "words": 5, "derive": 3,
+    assert e.memo_sizes() == {"prefix": 20, "words": 1, "derive": 3,
                               "weights": 7, "intern": 4, "facts": 12}
     # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
@@ -578,6 +579,23 @@ def test_memo_sizes():
     plain.mul_prefix_poly(0, (1, 0), ConfPoly.from_word(word2((1, 0))))
     assert plain.invariant_checks > 0
     assert set(plain.memo_sizes().values()) == {0}
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_bare_generator_product_is_mul_prefix(check):
+    # mul_words hands a bare generator's product to mul_prefix, under valid
+    # and invalid labels: no mul_words entry and no second audit
+    sig = AlgebraSignature(2, (2, 2), ("a", "b"))
+    e, ref = eng(sig, check=check), eng(sig, check=check)
+    rights = [single_word(1, 2), single_word(0, 2, (1, 0)),
+              NormalWord(((1, (1, 0)),), 0, (0, 1)), NormalWord(((0, (0, 0)), (1, (1, 1))), 1, (0, 0))]
+    for g in range(2):
+        for m in [(0, 0), (1, 1), (2, 0), (2, 1), (3, 2)]:
+            for v in rights:
+                got = e.mul_words(single_word(g, 2), m, v)
+                assert list(got.terms.items()) == list(ref.mul_prefix(g, m, v).terms.items())
+    assert e.memo_sizes() == ref.memo_sizes() and e.memo_sizes()["words"] == 0
+    assert e.invariant_checks == ref.invariant_checks and (e.invariant_checks > 0) == check
 
 
 def test_prepended_words_are_interned():

@@ -743,7 +743,7 @@ def _resolve_gen(sig: AlgebraSignature, text: str, line: int) -> int:
         return idx
     if text not in sig.generators:
         raise ParseError(f"unknown generator {text!r}", line)
-    return sig.gen_index(text)
+    return sig.generators.index(text)
 
 
 def _reference_parse_presentation(text: str) -> Presentation:

@@ -122,7 +122,7 @@ def test_reduce_two_steps_to_generator():
     remainder, trace = sys_f.reduce(start)
     assert remainder == mono()
     assert len(trace) == 2
-    assert trace.elements_used() == {0}
+    assert {s.occ.elem for s in trace.steps} == {0}
     assert start == remainder + trace.replay(sys_f)
 
 
@@ -430,23 +430,83 @@ def _abelian_envelope_relations():
     return eng, [r for r in rels if not r.is_zero()]
 
 
-@pytest.mark.parametrize("case", ["abelian-envelope", "golden-with-sums", "restart-sensitive"])
-def test_interreduce_matches_rebuild_reference(case):
+def _record_interreduce(monkeypatch):
+    """Record each interreduce's input elements and, for each reduce call
+    it makes, the position it excludes and the number of elements then."""
+    runs = []
+    interreduce, reduce = RewriteSystem.interreduce, RewriteSystem.reduce
+
+    def recorded_interreduce(self):
+        runs.append((self.elements, []))
+        return interreduce(self)
+
+    def recorded_reduce(self, p, exclude=frozenset(), rng=None):
+        if exclude:  # only interreduce excludes an element
+            runs[-1][1].append((min(exclude), len(self)))
+        return reduce(self, p, exclude, rng)
+
+    monkeypatch.setattr(RewriteSystem, "interreduce", recorded_interreduce)
+    monkeypatch.setattr(RewriteSystem, "reduce", recorded_reduce)
+    return runs
+
+
+def _sweep_moves(calls):
+    """Whether the sweep goes on at the same position after a deletion, and
+    whether it goes back to an earlier or the same one with none deleted."""
+    moves = list(zip(calls, calls[1:]))
+    return (any(b == (a[0], a[1] - 1) for a, b in moves),
+            any(b[1] == a[1] and b[0] <= a[0] for a, b in moves))
+
+
+# (goes on after a deletion, goes back to an earlier element) for each case
+SWEEP_MOVES = {"abelian-envelope": (False, True), "golden-with-sums": (True, False),
+               "restart-sensitive": (True, True), "replacements-in-place": (True, False),
+               "made-d-free": (False, True)}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_MOVES))
+def test_interreduce_matches_rebuild_reference(case, monkeypatch):
     eng = ENG
     if case == "abelian-envelope":
         eng, relations = _abelian_envelope_relations()
     elif case == "golden-with-sums":
         relations = [F, F + G, G] + GOLDEN + [G + H, 3 * P - Q, F + S, H - 2 * F]
-    else:
-        # sweeping on after a replacement, instead of restarting, ends elsewhere
+    elif case == "restart-sensitive":
+        # sweeping on after a new lead, instead of going back, ends elsewhere
         relations = [Q - mono((1, 1)) - mono(), -mono((0, 0), (0, 0)) - 2 * mono((0, 1)),
                      -2 * mono((1, 0)) - 2 * mono((0, 1)), P, -mono((1, 0)) - mono((0, 0))]
+    elif case == "replacements-in-place":
+        # F + G is deleted; two elements change, their leads kept
+        relations = [F, F + G, G, H + mono((0, 0)), P - 2 * F, S]
+    else:
+        # the second keeps its lead but turns D-free, and then its lead
+        # occurs inside the first one's
+        relations = [mono((1, 1), (0, 0)), mono((1, 1)) + mono(taild=(1, 0)),
+                     mono(taild=(1, 0)) - mono()]
     system = RewriteSystem(eng, relations)
     before = system.elements
     reference = _interreduce_by_rebuild(system)
     assert reference != before  # the input is not already interreduced
+    runs = _record_interreduce(monkeypatch)
     assert system.interreduce().elements == reference
     assert system.elements == before  # interreduce leaves its input alone
+    [(_, calls)] = runs
+    assert _sweep_moves(calls) == SWEEP_MOVES[case]
+    if case == "replacements-in-place":
+        assert len(reference) == len(before) - 1 and len(calls) == len(before)
+
+
+def test_final_interreduction_reduces_each_element_once(monkeypatch):
+    # the abelian completion's last interreduce only deletes (9 of 206), so
+    # it goes on in place after each deletion: one reduce call per element
+    eng, elements = _workload_inputs("abelian")
+    runs = _record_interreduce(monkeypatch)
+    system, status = complete(eng, elements, max_steps=800)
+    assert status == LIMIT_REACHED
+    (before, calls) = runs[-1]
+    assert (len(before), len(calls), len(system)) == (206, 206, 197)
+    assert _sweep_moves(calls) == (True, False)
+    assert system.elements == _interreduce_by_rebuild(RewriteSystem(eng, before))
 
 
 # -- the leading-word index and the heap reduction against references ----------
@@ -1039,13 +1099,14 @@ bad.rules[0] = Rule(f, wrong, True)
 # an audited system whose label bounds are too small for its products to vanish
 small = RewriteSystem(Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True), [f])
 small.multiplication_bounds = lambda p: (1, 1)
-# audited engines whose bare-generator product is corrupted: one drops the
-# link (a word one letter short), one writes a label outside the locality box
+# audited engines whose bare-generator product is corrupted where mul_prefix
+# writes its word: one drops the link (a word one letter short), one writes
+# a label outside the locality box
 short = Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True)
-short.mul_prefix = lambda gen, m, w: ConfPoly.from_word(w)
+short._intern = lambda x, _: NormalWord(x.links[1:], x.tail, x.taild)
 outside = Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True)
-outside.mul_prefix = lambda gen, m, w: ConfPoly.from_word(
-    NormalWord(((gen, (2, 0)),) + w.links, w.tail, w.taild))
+outside._intern = lambda x, _: NormalWord(((x.links[0][0], (2, 0)),) + x.links[1:],
+                                          x.tail, x.taild)
 for attempt in (lambda: short.mul_words(a, (0, 0), a),
                 lambda: outside.mul_words(a, (0, 0), a),
                 lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),

@@ -34,9 +34,7 @@ def w(*links, tail=0, taild=(0, 0)):
 def test_signature_basics():
     assert SIG.is_valid((1, 1))
     assert not SIG.is_valid((2, 0))
-    assert SIG.gen_index("b") == 1
-    with pytest.raises(KeyError):
-        SIG.gen_index("c")
+    assert SIG.generators.index("b") == 1
     with pytest.raises(ValueError):
         AlgebraSignature(n=2, locality=(2, 2), generators=("a", "a"))
     with pytest.raises(ValueError):
