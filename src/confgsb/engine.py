@@ -64,8 +64,9 @@ class Engine:
 
     Word operands must be normal words over the signature: generators in
     range and every label inside the locality box.  They are trusted unless
-    check=True, which raises RuntimeError on one that is not.  The labels of
-    ``mul_words``' left operand are checked always (ValueError).
+    check=True, which raises RuntimeError on one that is not and on a bare
+    generator out of range.  Labels, derivation indices and exponents, and
+    ``mul_words``' left labels, are always checked (ValueError).
     check=True audits every produced polynomial against the structural
     invariants (cheap, but hot-loop callers may want it off).
     cache=False disables memoization; results must be identical either way.
@@ -108,6 +109,10 @@ class Engine:
                 self._weights_memo[m] = row
         return row
 
+    def _check_index(self, what: str, i: MultiIndex) -> None:
+        if len(i) != self.sig.n or min(i) < 0:
+            raise ValueError(f"{what} {i} is not a multi-index of length {self.sig.n}")
+
     # -- derivations ----------------------------------------------------
 
     def derive_word(self, t: int, w: NormalWord) -> ConfPoly:
@@ -144,6 +149,7 @@ class Engine:
         return ConfPoly._raw(out)
 
     def derive_multi(self, i: MultiIndex, p: ConfPoly) -> ConfPoly:
+        self._check_index("derivation exponent", i)
         for t, count in enumerate(i):
             for _ in range(count):
                 p = self.derive(t, p)
@@ -157,12 +163,13 @@ class Engine:
             x = NormalWord(((gen, m),) + w.links, w.tail, w.taild)
             out = ConfPoly.from_word(self._intern(x, x))
             if self.check:
-                self._audit_prefix(out, m, w)
+                self._audit_prefix(out, gen, m, w)
             return out
         key = (gen, m, w)
         hit = self._prefix_memo.get(key)
         if hit is not None:
             return hit
+        self._check_index("label", m)
         if w.length == 1:
             if w.is_dfree():
                 out = ConfPoly.zero()  # two generators under an invalid label
@@ -191,7 +198,7 @@ class Engine:
                     accumulate(terms, self.mul_prefix_poly(gen, ms, inner).terms, -c)
             out = ConfPoly._raw(terms)
         if self.check:
-            self._audit_prefix(out, m, w)
+            self._audit_prefix(out, gen, m, w)
         if self.cache:
             self._prefix_memo[key] = out
         return out
@@ -205,7 +212,7 @@ class Engine:
                 x = NormalWord(link + w.links, w.tail, w.taild)
                 terms[intern(x, x)] = c
                 if self.check:
-                    self._audit_prefix(ConfPoly.from_word(x), m, w)
+                    self._audit_prefix(ConfPoly.from_word(x), gen, m, w)
             return ConfPoly._raw(terms)
         out: dict = {}
         for w, c in p.terms.items():
@@ -220,6 +227,7 @@ class Engine:
         hit = self._words_memo.get(key)
         if hit is not None:
             return hit
+        self._check_index("label", m)
         if u.length == 1:
             # (D^i b)⟨m⟩v = (−1)^|i| · ∏_t m_t(m_t−1)…(m_t−i_t+1) · b⟨m−i⟩v
             coeff = sign_of(u.taild)
@@ -267,17 +275,13 @@ class Engine:
         if isinstance(tree, Leaf):
             if not 0 <= tree.gen < len(self.sig.generators):
                 raise ValueError(f"leaf generator {tree.gen} is not in the signature")
-            if len(tree.dexp) != self.sig.n or any(c < 0 for c in tree.dexp):
-                raise ValueError(f"leaf derivation exponent {tree.dexp} is not a "
-                                 f"multi-index of length {self.sig.n}")
+            self._check_index("leaf derivation exponent", tree.dexp)
             return ConfPoly.from_word(NormalWord((), tree.gen, tree.dexp))
         if not isinstance(tree, Node):
             raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
         left = self.normalize_tree(tree.left)
         right = self.normalize_tree(tree.right)
-        if len(tree.label) != self.sig.n or min(tree.label) < 0:
-            raise ValueError(f"node label {tree.label} is not a multi-index of "
-                             f"length {self.sig.n}")
+        self._check_index("node label", tree.label)
         return self.mul_poly(left, tree.label, right)
 
     def normalize(self, comb: LinComb) -> ConfPoly:
@@ -298,7 +302,9 @@ class Engine:
                 self._facts[x] = facts
         return facts
 
-    def _audit_prefix(self, out: ConfPoly, m: MultiIndex, w: NormalWord) -> None:
+    def _audit_prefix(self, out: ConfPoly, gen: int, m: MultiIndex, w: NormalWord) -> None:
+        if not 0 <= gen < len(self.sig.generators):
+            raise RuntimeError(f"engine audit: generator {gen} is not in the signature")
         length, grades, dfree = self._word_facts(w)
         self._audit(out, 1 + length, tuple(map(add, m, grades)), dfree)
 

@@ -76,7 +76,9 @@ def index_pos_part(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 
 def unit_index(n: int, t: int) -> MultiIndex:
-    """The t-th coordinate vector e_t of length n."""
+    """The t-th coordinate vector e_t of length n; ValueError unless 0 <= t < n."""
+    if not 0 <= t < n:
+        raise ValueError(f"derivation index {t} is not in range({n})")
     return tuple(1 if k == t else 0 for k in range(n))
 
 

@@ -81,6 +81,8 @@ def _norm_tree(sig: AlgebraSignature, tree) -> Terms:
         return {NormalWord((), tree.gen, dexp): Fraction(1)}
     if not isinstance(tree, Node):
         raise ValueError(f"expected a Leaf or a Node, got {tree!r}")
+    if len(tree.label) != sig.n or min(tree.label) < 0:
+        raise ValueError(f"malformed node label {tree.label!r} over {sig.n} coordinates")
     left = _norm_tree(sig, tree.left)
     right = _norm_tree(sig, tree.right)
     out: Terms = {}

@@ -35,14 +35,8 @@ INTERSECTION = "intersection"
 LEFT_MUL = "left-mul"
 RIGHT_MUL = "right-mul"
 
-KIND_RANK = {
-    INCLUSION: 0,
-    RIGHT_INCLUSION: 1,
-    INTERSECTION: 2,
-    LEFT_MUL: 3,
-    RIGHT_MUL: 4,
-}
-KINDS = tuple(KIND_RANK)
+KINDS = (INCLUSION, RIGHT_INCLUSION, INTERSECTION, LEFT_MUL, RIGHT_MUL)
+KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 # irreducible_words refuses to build more candidate words than this
 MAX_BASIS_CANDIDATES = 10 ** 7
@@ -108,8 +102,8 @@ class CompositionTask(NamedTuple):
     pos)``, where ``size = len(w.links)`` and ``rank`` is the kind's rank,
     puts the word first, in the word order.  ``pos`` parts the inclusion
     tasks of one pair, which share their word, so no two tasks of one
-    system share those six fields.  A queue entry is a plain tuple of all
-    the fields, and ``_make`` builds the task back.
+    system share those six fields.  ``complete``'s marker ``(size, (), k)``
+    sorts before every task of its size, since ``()`` precedes every word.
     """
 
     size: int
@@ -128,19 +122,20 @@ class CompositionTask(NamedTuple):
         return KINDS[self.rank]
 
 
-def _right_inclusion(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> tuple:
-    """The queue entry of the right inclusion of lead ``gj`` at suffix p of ``fi``,
+def _right_inclusion(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> CompositionTask:
+    """The right inclusion of lead ``gj`` at suffix p of ``fi``,
     tail derivations split minimally."""
     alpha = index_pos_part(gj.taild, fi.taild)
     beta = index_pos_part(fi.taild, gj.taild)
     w = NormalWord(fi.links, fi.tail, index_add(fi.taild, alpha))
-    return (len(w.links), w, KIND_RANK[RIGHT_INCLUSION], i, j, p, 0, None, alpha, beta)
+    return CompositionTask(len(w.links), w, KIND_RANK[RIGHT_INCLUSION], i, j, p,
+                           alpha=alpha, beta=beta)
 
 
-def _intersection(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int, c: int) -> tuple:
-    """The queue entry of the suffix at p of ``fi`` overlapping the first c letters of ``gj``."""
+def _intersection(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int, c: int) -> CompositionTask:
+    """The intersection of the suffix at p of ``fi`` overlapping the first c letters of ``gj``."""
     w = NormalWord(fi.links + gj.links[c - 1:], gj.tail, gj.taild)
-    return (len(w.links), w, KIND_RANK[INTERSECTION], i, j, p, c, None, None, None)
+    return CompositionTask(len(w.links), w, KIND_RANK[INTERSECTION], i, j, p, c)
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,7 @@ class RewriteSystem:
     # -- composition generation ----------------------------------------------
 
     def _inclusion_entries(self, k: int):
-        """Rule k's inclusion and right-inclusion queue entries, against itself
+        """Rule k's inclusion and right-inclusion tasks, against itself
         and each earlier rule both ways; ``_extension_entries(k)`` gives the rest.
         The lead index names the overlapping leads, so only they are visited."""
         rules, index = self.rules, self._lead_index().reverse()
@@ -352,7 +347,7 @@ class RewriteSystem:
             for i, p in index.segments.get((links, tail), ()):
                 if i < k:
                     f = rules[i].lead
-                    yield (len(f.links), f, KIND_RANK[INCLUSION], i, k, p, 0, None, None, None)
+                    yield CompositionTask(len(f.links), f, KIND_RANK[INCLUSION], i, k, p)
         for i, p in index.suffixes.get((links, tail), ()):
             if i < k:
                 yield _right_inclusion(rules[i].lead, g, i, k, p)
@@ -364,10 +359,10 @@ class RewriteSystem:
             for q in range(p, nl):
                 for i in index.leads.get((links[p:q], links[q][0]), ()):
                     if i < k and rules[i].dfree:
-                        yield (nl, g, KIND_RANK[INCLUSION], k, i, p, 0, None, None, None)
+                        yield CompositionTask(nl, g, KIND_RANK[INCLUSION], k, i, p)
 
     def _extension_entries(self, k: int):
-        """The intersection and product entries of rule k, each of size
+        """The intersection and product tasks of rule k, each of size
         nl + 1 or more, nl = len(links) of k's lead:
         - lead i's suffix at p >= 1 meets k's first c letters: size p + nl;
         - k's suffix at p meets a proper prefix of lead i, of nl + 1 - p <=
@@ -434,18 +429,17 @@ class RewriteSystem:
             for g in gens:
                 if not valid:
                     w = NormalWord(((g, m),) + links, tail, taild)
-                    yield (size, w, KIND_RANK[LEFT_MUL], i, g, 0, 0, m, None, None)
+                    yield CompositionTask(size, w, KIND_RANK[LEFT_MUL], i, g, m=m)
                 if not rule.dfree:
                     w = NormalWord(links + ((tail, m),), g, taild)
-                    yield (size, w, KIND_RANK[RIGHT_MUL], i, g, 0, 0, m, None, None)
+                    yield CompositionTask(size, w, KIND_RANK[RIGHT_MUL], i, g, m=m)
 
     def all_tasks(self) -> list[CompositionTask]:
         """Every composition task: the overlap tasks by (i, j, kind, c, pos),
         then the multiplication tasks of each element in turn."""
         overlaps, products = [], []
         for k in range(len(self)):
-            for entry in chain(self._inclusion_entries(k), self._extension_entries(k)):
-                task = CompositionTask._make(entry)
+            for task in chain(self._inclusion_entries(k), self._extension_entries(k)):
                 (overlaps if task.rank < KIND_RANK[LEFT_MUL] else products).append(task)
         overlaps.sort(key=attrgetter("i", "j", "rank", "c", "pos"))
         return overlaps + products
@@ -558,14 +552,11 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     discarded), or LIMIT_REACHED (max_elements or max_steps tripped).
     The output is interreduced; the run is deterministic.
 
-    The queue holds plain tuples of a task's fields in ``CompositionTask``'s
-    order (word, kind rank, i, j, pos, unique within a system, and then the
-    rest), so tasks pop in word order and a ``CompositionTask`` is built
-    only when popped.
-    Each new rule's inclusion entries are pushed at once; the rest, all of
-    size s = len(links) + 1 of its lead or more (``_extension_entries``),
-    wait as a bound (s, k) in a second heap until the queue's front reaches
-    size s or the queue runs empty.  Tasks pop as if all were built at once.
+    One heap holds the tasks, in word order.  Each rule k, initial or
+    appended, pushes its inclusion tasks and a marker (s, (), k), where s is
+    len(links) + 1 of its lead.  Popped before every task of size s, the
+    marker pushes k's other tasks, all of size s or more
+    (``_extension_entries``), so tasks pop as if all were built at once.
     """
     for name, bound in (("max_degree", max_degree),
                         ("max_elements", max_elements),
@@ -574,24 +565,26 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
             raise ValueError(f"{name} must be a positive integer")
 
     system = RewriteSystem(engine, elements).interreduce()
-    heap = [e for k in range(len(system)) for e in system._inclusion_entries(k)]
-    bounds = [(len(rule.lead.links) + 1, k) for k, rule in enumerate(system.rules)]
-    heapq.heapify(heap)
-    heapq.heapify(bounds)
+    heap: list = []
 
+    def admit(k: int) -> None:
+        for task in system._inclusion_entries(k):
+            heapq.heappush(heap, task)
+        heapq.heappush(heap, (len(system.rules[k].lead.links) + 1, (), k))
+    for k in range(len(system)):
+        admit(k)
     steps = 0
     discarded = False
     status = COMPLETE
-    while True:
-        while bounds and (not heap or bounds[0][0] <= heap[0][0]):
-            for entry in system._extension_entries(heapq.heappop(bounds)[1]):
-                heapq.heappush(heap, entry)
-        if not heap:
-            break
+    while heap:
+        task = heapq.heappop(heap)
+        if not isinstance(task, CompositionTask):  # a marker (s, (), k)
+            for rest in system._extension_entries(task[2]):
+                heapq.heappush(heap, rest)
+            continue
         if max_steps is not None and steps >= max_steps:
             status = LIMIT_REACHED
             break
-        task = CompositionTask._make(heapq.heappop(heap))
         steps += 1
         remainder, _ = system.reduce(system.eval_composition(task))
         if remainder.is_zero():
@@ -602,10 +595,7 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
         if max_elements is not None and len(system) >= max_elements:
             status = LIMIT_REACHED
             break
-        k = system._append(remainder)
-        for entry in system._inclusion_entries(k):
-            heapq.heappush(heap, entry)
-        heapq.heappush(bounds, (len(system.rules[k].lead.links) + 1, k))
+        admit(system._append(remainder))
     if status == COMPLETE and discarded:
         status = BOUNDED_COMPLETE
     return system.interreduce(), status

@@ -114,6 +114,44 @@ def test_audit_rejects_an_operand_outside_the_box(call):
         call(eng(), word2((2, 0)))
 
 
+@pytest.mark.parametrize("kw", [{"check": True}, {"check": False}, {"cache": False}],
+                         ids=["check", "plain", "no-cache"])
+@pytest.mark.parametrize("call, what", [
+    (lambda e: e.derive_word(-1, word2((1, 0))), "derivation index"),
+    (lambda e: e.derive_word(5, A), "derivation index"),
+    (lambda e: e.derive_multi((1,), poly((1, word2((1, 1))))), "derivation exponent"),
+    (lambda e: e.derive_multi((1, 0, 0), poly((1, word2((1, 1))))), "derivation exponent"),
+    (lambda e: e.derive_multi((-1, 0), poly((1, word2((1, 1))))), "derivation exponent"),
+    (lambda e: e.mul_poly(poly((1, A)), (-1, 0), poly((1, word2((1, 0))))), "label"),
+    (lambda e: e.mul_poly(poly((1, A)), (0, 0, 0), poly((1, word2((1, 0))))), "label"),
+    (lambda e: e.mul_poly(poly((1, A)), (1,), poly((1, word2((1, 0))))), "label"),
+    (lambda e: e.mul_words(word2((1, 0)), (1,), A), "label"),
+    (lambda e: e.mul_words(single_word(0, 2, (1, 0)), (-1, 0), A), "label"),
+], ids=["derive_word-minus-1", "derive_word-5", "derive_multi-short", "derive_multi-long",
+        "derive_multi-negative", "mul_poly-negative", "mul_poly-long", "mul_poly-short",
+        "mul_words-peel-short", "mul_words-derived-negative"])
+def test_malformed_index_arguments_raise(call, what, kw):
+    # unchecked, each of these returns a wrong answer; a memo filled by valid
+    # calls first does not let them through
+    e = eng(**kw)
+    e.derive_word(0, word2((1, 0)))
+    e.mul_poly(poly((1, A)), (2, 0), poly((1, word2((1, 0)))))
+    with pytest.raises(ValueError, match=what):
+        call(e)
+
+
+def test_audit_rejects_a_generator_out_of_range():
+    # a bare generator's product that vanishes has no output word to audit
+    with pytest.raises(RuntimeError, match="generator 5"):
+        eng().mul_prefix(5, (2, 0), A)
+    with pytest.raises(RuntimeError, match="generator 5"):
+        eng().mul_words(single_word(5, 2), (2, 0), A)
+    with pytest.raises(RuntimeError, match="generator 5"):
+        eng().mul_prefix_poly(5, (1, 0), ConfPoly.from_word(A))
+    # trusted without check=True
+    assert eng(check=False).mul_prefix(5, (2, 0), A).is_zero()
+
+
 def test_derive_word():
     e = eng()
     assert e.derive_word(0, A) == poly((1, single_word(0, 2, (1, 0))))

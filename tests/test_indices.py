@@ -112,6 +112,10 @@ def test_index_arithmetic():
     assert zero_index(3) == (0, 0, 0)
     with pytest.raises(ValueError):
         index_sub((1, 0), (0, 1))
+    # e_t exists only for the n coordinates, so D_t for t outside them is refused
+    for t in (-1, 3):
+        with pytest.raises(ValueError, match="not in range"):
+            unit_index(3, t)
 
 
 def test_iter_box_is_ascending_lex_and_complete():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confgsb.engine import Engine
 from confgsb.naive import naive_d_word, naive_mul_words, naive_normalize
 from confgsb.words import (
     AlgebraSignature,
@@ -118,6 +119,22 @@ def test_malformed_leaves_rejected(tree):
     # as Engine.normalize does, and not as an invalid word or an AssertionError
     with pytest.raises(ValueError):
         naive_normalize(SIG2, [(Fraction(1), tree)])
+    with pytest.raises(ValueError):
+        Engine(SIG2).normalize([(Fraction(1), tree)])
+
+
+@pytest.mark.parametrize("label", [(-1, 0), (0, -1), (1,), (0, 0, 0)],
+                         ids=["negative", "negative-second", "short", "long"])
+@pytest.mark.parametrize("left", [Leaf(0, (0, 0)), Node(Leaf(0, (0, 0)), (1, 0), Leaf(0, (0, 0)))],
+                         ids=["generator", "product"])
+def test_malformed_node_labels_rejected(left, label):
+    # the oracle checks a node label itself, as the engine does, so that a
+    # negative label does not vanish and a short one does not meet zip()
+    tree = Node(left, label, Node(Leaf(0, (0, 0)), (1, 0), Leaf(0, (0, 0))))
+    with pytest.raises(ValueError, match="node label"):
+        naive_normalize(SIG2, [(Fraction(1), tree)])
+    with pytest.raises(ValueError, match="node label"):
+        Engine(SIG2).normalize([(Fraction(1), tree)])
 
 
 # --- two coordinates, N = (2, 2): the golden identities ---------------------

@@ -20,6 +20,7 @@ from confgsb.rewrite import (
     INCLUSION,
     INTERSECTION,
     KIND_RANK,
+    KINDS,
     LEFT_MUL,
     LIMIT_REACHED,
     RIGHT_INCLUSION,
@@ -955,6 +956,44 @@ def test_complete_work_is_pinned(case, max_steps, counts, monkeypatch):
     pushed, popped = _record_queue(monkeypatch)
     complete(eng, elements, max_steps=max_steps)
     assert (len(pushed), len(popped)) == counts
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_entries_are_composition_tasks(case):
+    # one record type on the queue: every builder yields CompositionTasks
+    system = _task_system(case)
+    for k in range(len(system)):
+        for entries in (system._inclusion_entries, system._extension_entries,
+                        system._multiplication_entries):
+            assert all(type(task) is CompositionTask for task in entries(k))
+    tasks = system.all_tasks()
+    assert tasks and all(type(task) is CompositionTask for task in tasks)
+    # and one kind table, in rank order
+    assert list(KIND_RANK) == list(KINDS) and list(KIND_RANK.values()) == list(range(len(KINDS)))
+
+
+@pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])
+def test_marker_sorts_between_task_sizes(case):
+    # complete's marker (s, (), k) pops after every task of size s - 1 and
+    # before every task of size s, the least word of that size included
+    system = _task_system(case)
+    tasks = system.all_tasks()
+    zero = (0,) * system.sig.n
+    for s in range(1, max(t.size for t in tasks) + 2):
+        least = NormalWord(((0, zero),) * s, 0, zero)
+        assert all(least <= t.w for t in tasks if t.size == s)
+        for k in range(len(system)):
+            marker = (s, (), k)
+            assert marker < CompositionTask(s, least, 0, 0, 0)
+            assert all(t < marker for t in tasks if t.size == s - 1)
+            assert all(marker < t for t in tasks if t.size == s)
+            assert marker < (s, (), k + 1) < (s + 1, (), 0)
+    heap = tasks + [(t.size, (), 0) for t in tasks]
+    heapq.heapify(heap)
+    popped = [heapq.heappop(heap) for _ in range(len(heap))]
+    assert [t for t in popped if type(t) is CompositionTask] == sorted(tasks)
+    sizes = [t[0] + (type(t) is CompositionTask) / 2 for t in popped]
+    assert sizes == sorted(sizes)
 
 
 # -- completion ----------------------------------------------------------------
