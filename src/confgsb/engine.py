@@ -20,8 +20,7 @@ The three structural invariants (length preservation, grade conservation,
 D-free closure) can be checked on every single operation by constructing
 the engine with check=True; invariant_checks counts how many audits ran,
 and each distinct word's length, grades and D-freeness are worked out once.
-An audit that fails raises RuntimeError.  With cache=False the engine keeps
-no per-input table at all: memos, weights, interned words and audit facts.
+An audit that fails raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -54,11 +53,6 @@ from .words import (
 )
 
 
-def _keep(x, _):
-    # stands in for an intern table's setdefault when the engine caches nothing
-    return x
-
-
 class Engine:
     """Normalization engine bound to one algebra signature.
 
@@ -69,13 +63,11 @@ class Engine:
     ``mul_words``' left labels, are always checked (ValueError).
     check=True audits every produced polynomial against the structural
     invariants (cheap, but hot-loop callers may want it off).
-    cache=False disables memoization; results must be identical either way.
     """
 
-    def __init__(self, sig: AlgebraSignature, *, check: bool = False, cache: bool = True):
+    def __init__(self, sig: AlgebraSignature, *, check: bool = False):
         self.sig = sig
         self.check = check
-        self.cache = cache
         self.invariant_checks = 0
         self._valid = frozenset(iter_box(sig.locality))
         self._prefix_memo: dict = {}
@@ -84,7 +76,7 @@ class Engine:
         self._weights_memo: dict = {}
         self._interned: dict = {}
         self._facts: dict = {}
-        self._intern = self._interned.setdefault if cache else _keep
+        self._intern = self._interned.setdefault
 
     def memo_sizes(self) -> dict[str, int]:
         """Entry counts of every per-engine table that grows with the input.
@@ -92,8 +84,7 @@ class Engine:
         ``prefix``, ``words`` and ``derive`` are the result memos (a product
         under a valid label takes no entry), ``weights`` the per-label
         binomial rows, ``intern`` the interned prepended words and ``facts``
-        the audited words (filled only with check=True).  All are zero with
-        cache=False.
+        the audited words (filled only with check=True).
         """
         return {"prefix": len(self._prefix_memo), "words": len(self._words_memo),
                 "derive": len(self._derive_memo), "weights": len(self._weights_memo),
@@ -105,8 +96,7 @@ class Engine:
         if row is None:
             row = tuple((s, index_sub(m, s), sign_of(s) * binom_multi(m, s))
                         for s in iter_below(m))
-            if self.cache:
-                self._weights_memo[m] = row
+            self._weights_memo[m] = row
         return row
 
     def _check_index(self, what: str, i: MultiIndex) -> None:
@@ -138,8 +128,7 @@ class Engine:
             length, grades, _ = self._word_facts(w)
             self._audit(out, length, tuple(g - (r == t) for r, g in enumerate(grades)),
                         dfree=False)
-        if self.cache:
-            self._derive_memo[key] = out
+        self._derive_memo[key] = out
         return out
 
     def derive(self, t: int, p: ConfPoly) -> ConfPoly:
@@ -199,8 +188,7 @@ class Engine:
             out = ConfPoly._raw(terms)
         if self.check:
             self._audit_prefix(out, gen, m, w)
-        if self.cache:
-            self._prefix_memo[key] = out
+        self._prefix_memo[key] = out
         return out
 
     def mul_prefix_poly(self, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
@@ -258,8 +246,7 @@ class Engine:
             ul, ug, ud = self._word_facts(u)
             vl, vg, vd = self._word_facts(v)
             self._audit(out, ul + vl, tuple(map(sum, zip(ug, m, vg))), ud and vd)
-        if self.cache:
-            self._words_memo[key] = out
+        self._words_memo[key] = out
         return out
 
     def mul_poly(self, p: ConfPoly, m: MultiIndex, q: ConfPoly) -> ConfPoly:
@@ -298,8 +285,7 @@ class Engine:
         if facts is None:
             check_word(self.sig, x)
             facts = (x.length, tuple(x.grade(t) for t in range(self.sig.n)), x.is_dfree())
-            if self.cache:
-                self._facts[x] = facts
+            self._facts[x] = facts
         return facts
 
     def _audit_prefix(self, out: ConfPoly, gen: int, m: MultiIndex, w: NormalWord) -> None:

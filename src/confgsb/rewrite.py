@@ -221,7 +221,7 @@ class RewriteSystem:
         self.engine = engine
         self.sig = engine.sig
         self.rules: list[Rule] = []
-        self._index: _LeadIndex | None = None
+        self._index = _LeadIndex([])
         for p in elements:
             self._append(p)
 
@@ -236,14 +236,8 @@ class RewriteSystem:
         rule = _rule(p)
         self.rules.append(rule)
         e = len(self.rules) - 1
-        if self._index is not None:
-            self._index.add(e, rule.lead)
+        self._index.add(e, rule.lead)
         return e
-
-    def _lead_index(self) -> _LeadIndex:
-        if self._index is None:
-            self._index = _LeadIndex(self.rules)
-        return self._index
 
     # -- occurrence matching ------------------------------------------------
 
@@ -254,7 +248,7 @@ class RewriteSystem:
         index, so the cost grows with the word and the number of distinct
         lead lengths, not with the number of rules.
         """
-        index = self._lead_index()
+        index = self._index
         rules = self.rules
         out = []
         links = w.links
@@ -339,7 +333,7 @@ class RewriteSystem:
         """Rule k's inclusion and right-inclusion tasks, against itself
         and each earlier rule both ways; ``_extension_entries(k)`` gives the rest.
         The lead index names the overlapping leads, so only they are visited."""
-        rules, index = self.rules, self._lead_index().reverse()
+        rules, index = self.rules, self._index.reverse()
         g = rules[k].lead
         links, tail, nl = g.links, g.tail, len(g.links)
         # k's lead inside an earlier lead: inclusion, right inclusion of k in i
@@ -370,7 +364,7 @@ class RewriteSystem:
         - a product adds one link to k's lead: size nl + 1.
         Only rules i <= k take part, so later rules do not change the entries.
         """
-        rules, index = self.rules, self._lead_index().reverse()
+        rules, index = self.rules, self._index.reverse()
         g = rules[k].lead
         links, tail, nl = g.links, g.tail, len(g.links)
         # a proper suffix of lead i (k itself included) is a prefix of k's
@@ -488,19 +482,20 @@ class RewriteSystem:
         lead or makes it D-free; other changes leave earlier ones irreducible."""
         out = RewriteSystem(self.engine)
         rules = out.rules = list(self.rules)
+        out._index = _LeadIndex(rules)
         i = 0
         while i < len(rules):
             rule = rules[i]
             r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
             if r.is_zero():
                 del rules[i]
-                out._index = None  # the index holds rule positions: rebuild it
+                out._index = _LeadIndex(rules)  # the index holds rule positions
                 continue
             r = r.monic()
             if r != rule.poly:
                 rules[i] = new = _rule(r)
                 if new.lead != rule.lead or new.dfree and not rule.dfree:
-                    out._index = None
+                    out._index = _LeadIndex(rules)
                     i = 0
                     continue
             i += 1
@@ -548,8 +543,10 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     """Saturate the system until every composition reduces to zero.
 
     Returns (system, status) with status one of COMPLETE (queue exhausted),
-    BOUNDED_COMPLETE (queue exhausted, but remainders above max_degree were
-    discarded), or LIMIT_REACHED (max_elements or max_steps tripped).
+    BOUNDED_COMPLETE (remainders above max_degree were discarded, or the
+    input is homogeneous, each element's terms of one length, and the run
+    stopped with tasks left, all longer than max_degree), or LIMIT_REACHED
+    (max_elements or max_steps tripped).
     The output is interreduced; the run is deterministic.
 
     One heap holds the tasks, in word order.  Each rule k, initial or
@@ -565,6 +562,9 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
             raise ValueError(f"{name} must be a positive integer")
 
     system = RewriteSystem(engine, elements).interreduce()
+    # on homogeneous input a remainder has its task word's length
+    homogeneous = max_degree is not None and all(
+        len({w.length for w in r.poly.terms}) == 1 for r in system.rules)
     heap: list = []
 
     def admit(k: int) -> None:
@@ -576,7 +576,7 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
     steps = 0
     discarded = False
     status = COMPLETE
-    while heap:
+    while heap and not (homogeneous and heap[0][0] + 1 > max_degree):
         task = heapq.heappop(heap)
         if not isinstance(task, CompositionTask):  # a marker (s, (), k)
             for rest in system._extension_entries(task[2]):
@@ -596,6 +596,6 @@ def complete(engine: Engine, elements, *, max_degree: int | None = None,
             status = LIMIT_REACHED
             break
         admit(system._append(remainder))
-    if status == COMPLETE and discarded:
+    if status == COMPLETE and (discarded or heap):
         status = BOUNDED_COMPLETE
     return system.interreduce(), status

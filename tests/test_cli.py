@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from confgsb import cli
+from confgsb.envelope import HalfPBWReport
+from confgsb.words import ConfPoly, NormalWord
 
 GOLDEN = """\
 # one generator, locality (2,2)
@@ -314,6 +316,19 @@ def test_json_halfpbw(sl2, capsys):
     assert doc["result"] == {"checked": 1, "ok": True, "failures": []}
 
 
+def test_halfpbw_reports_each_failure(sl2, capsys, monkeypatch):
+    # a stubbed report with one failure: h<0> e left for (i, j, k) = (2, 1, 0)
+    remainder = ConfPoly.from_word(NormalWord(((1, (0,)),), 0, (0,)))
+    report = HalfPBWReport(1, (((2, 1, 0, (0,), (0,)), remainder),))
+    monkeypatch.setattr(cli, "half_pbw_check", lambda spec, engine: report)
+    code, out, _ = run(capsys, "halfpbw", sl2)
+    assert code == 0
+    assert out.splitlines() == ["checked: 1", "ok: no", "  - (2, 1, 0) labels <0> <0> -> h<0> e"]
+    _, out, _ = run(capsys, "halfpbw", sl2, "--json")
+    assert json.loads(out)["result"] == {"checked": 1, "ok": False, "failures": [
+        {"i": 2, "j": 1, "k": 0, "m": "0", "mp": "0", "remainder": "h<0> e"}]}
+
+
 # -- quiet mode ------------------------------------------------------------------
 
 
@@ -333,6 +348,10 @@ def test_usage_errors_exit_64(capsys):
     assert cli.main(["basis", "whatever.alg"]) == 64  # missing --max-length
     assert cli.main(["complete", "x.alg", "--max-degree", "zero"]) == 64
     capsys.readouterr()
+    code, out, err = run(capsys, "complete", "x.alg", "--max-steps", "0")
+    assert (code, out) == (64, "") and "must be at least 1" in err
+    code, out, err = run(capsys, "basis", "x.alg", "--max-length", "two")
+    assert (code, out) == (64, "") and "not an integer: 'two'" in err
 
 
 def test_parser_is_built_once():

@@ -40,9 +40,29 @@ SIG2 = AlgebraSignature(n=2, locality=(2, 2), generators=("a",))
 A = single_word(0, 2)
 
 
+class _NoStore(dict):
+    """A table that stores nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def engine(sig, *, cache=True, cls=Engine, **kw):
+    """An engine over ``sig``.  With cache=False it is the uncached reference
+    that memoization must be transparent against: every table that
+    ``memo_sizes()`` reports stores nothing, and interning is the identity."""
+    e = cls(sig, **kw)
+    if not cache:
+        for table in ("_prefix_memo", "_words_memo", "_derive_memo", "_weights_memo",
+                      "_interned", "_facts"):
+            setattr(e, table, _NoStore())
+        e._intern = lambda x, _: x
+    return e
+
+
 def eng(sig=SIG2, **kw):
     kw.setdefault("check", True)
-    return Engine(sig, **kw)
+    return engine(sig, **kw)
 
 
 def word2(*labels, tail=0, taild=(0, 0)):
@@ -252,9 +272,9 @@ def test_generator_led_prepend_matches_mul_poly_route(sig, kw):
     for _ in range(60):
         tree = rand_tree(rng.randint(2, 4), dfree=rng.random() < 0.4)
         comb = [(rng.choice((1, -2, Fraction(1, 3))), tree)]
-        e = Engine(sig, **kw)
+        e = engine(sig, **kw)
         got = e.normalize_tree(tree)
-        want = _mul_poly_route(Engine(sig, **kw), tree)
+        want = _mul_poly_route(engine(sig, **kw), tree)
         assert list(got.terms.items()) == list(want.terms.items())
         assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
         assert e.normalize(comb).terms == naive_normalize(sig, comb)
@@ -585,7 +605,7 @@ def test_memo_values_survive_accumulation():
 def test_engine_matches_naive_with_and_without_cache(cache):
     rng = random.Random(7)
     sig = AlgebraSignature(2, (2, 2), ("a", "b"))
-    e = Engine(sig, cache=cache)
+    e = engine(sig, cache=cache)
 
     def rand_tree(leaves):
         if leaves == 1:
@@ -688,8 +708,7 @@ class _ReferenceEngine(Engine):
         if self.check:
             grades = tuple(m[r] + w.grade(r) for r in range(self.sig.n))
             self._audit(out, 1 + w.length, grades, dfree=w.is_dfree())
-        if self.cache:
-            self._prefix_memo[key] = out
+        self._prefix_memo[key] = out
         return out
 
     def mul_prefix_poly(self, gen, m, p):
@@ -724,8 +743,7 @@ class _ReferenceEngine(Engine):
         if self.check:
             grades = tuple(u.grade(r) + m[r] + v.grade(r) for r in range(self.sig.n))
             self._audit(out, u.length + v.length, grades, dfree=u.is_dfree() and v.is_dfree())
-        if self.cache:
-            self._words_memo[key] = out
+        self._words_memo[key] = out
         return out
 
 
@@ -739,8 +757,8 @@ def test_product_kernel_matches_reference(cache, check):
     rng = random.Random(20261018)
     for loc, gens in (((3,), ("a", "b")), ((2, 2), ("a", "b")), ((2, 1, 1), ("a", "b"))):
         sig = AlgebraSignature(len(loc), loc, gens)
-        e = Engine(sig, check=check, cache=cache)
-        ref = _ReferenceEngine(sig, check=check, cache=cache)
+        e = engine(sig, check=check, cache=cache)
+        ref = engine(sig, cls=_ReferenceEngine, check=check, cache=cache)
 
         def rand_word(most):
             links = tuple((rng.randrange(len(gens)), tuple(rng.randrange(b) for b in loc))

@@ -250,6 +250,18 @@ def test_lie_conformal_rejects_invalid_key():
     val = ConfPoly.from_word(single_word(0, 2))
     with pytest.raises(ValueError):
         lie_conformal(AlgebraSignature(2, (1, 1), ("x", "y")), {(1, 0, (1, 0)): val})
+    with pytest.raises(ValueError, match="table key needs 0 <= j < i < 2"):
+        lie_conformal(AlgebraSignature(1, (1,), ("x", "y")),
+                      {(0, 1, (0,)): ConfPoly.from_word(single_word(0, 1))})
+
+
+@pytest.mark.parametrize("brackets, message", [
+    ({(2, 0): ((0, 1),)}, "bracket key"),
+    ({(1, 0): ((5, 1),)}, "bracket value index 5"),
+], ids=["key", "value"])
+def test_lie_algebra_rejects_an_index_outside_the_basis(brackets, message):
+    with pytest.raises(ValueError, match=message):
+        lie_algebra(("x", "y"), brackets)
 
 
 # -- the half-PBW check --------------------------------------------------------------

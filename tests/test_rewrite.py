@@ -840,7 +840,7 @@ def test_index_grown_rule_by_rule_matches_one_build(case):
     # one at a time, reversed now and then, give the maps of one build
     source = _task_system(case)
     system = RewriteSystem(source.engine)
-    index = system._lead_index()
+    index = system._index
     for e, rule in enumerate(source.rules):
         system._append(rule.poly)
         if e % 3 == 1:
@@ -935,10 +935,13 @@ def test_complete_queue_matches_pairwise_reference(case, bounds, monkeypatch):
     assert status == ref_status
     assert [list(p.terms.items()) for p in system.elements] == \
         [list(p.terms.items()) for p in ref_system.elements]
-    assert popped == ref_popped
+    # the reference pops every task; on homogeneous input a degree bound
+    # stops the run before it, so the run pops a prefix of the reference's
+    stopped = len(popped) < len(ref_popped)
+    assert popped == ref_popped[:len(popped)] and (not stopped or "max_degree" in bounds)
     _assert_unique_keys(pushed)
     pushed, ref_pushed = Counter(map(CompositionTask._make, pushed)), Counter(ref_pushed)
-    if status != LIMIT_REACHED:
+    if status != LIMIT_REACHED and not stopped:
         assert pushed == ref_pushed
     else:
         # a stopped run builds a subset, leaving out only tasks longer than any it popped
@@ -956,6 +959,21 @@ def test_complete_work_is_pinned(case, max_steps, counts, monkeypatch):
     pushed, popped = _record_queue(monkeypatch)
     complete(eng, elements, max_steps=max_steps)
     assert (len(pushed), len(popped)) == counts
+
+
+def test_homogeneous_completion_stops_at_the_degree_bound(monkeypatch):
+    # the abelian envelope's relations are homogeneous, so no task longer
+    # than max_degree is popped (popping them all took 20,879 tasks), and
+    # the truncated basis is exact below the bound
+    eng, elements = _workload_inputs("abelian")
+    lower, lower_status = complete(eng, elements, max_degree=2)
+    _, popped = _record_queue(monkeypatch)
+    system, status = complete(eng, elements, max_degree=3)
+    assert (status, lower_status) == (BOUNDED_COMPLETE, BOUNDED_COMPLETE)
+    assert len(system) == 220 and len(popped) <= 1100
+    assert max(task.size for task in popped) + 1 <= 3
+    basis = system.irreducible_words(2)
+    assert basis == lower.irreducible_words(2) and len(basis) == 27
 
 
 @pytest.mark.parametrize("case", ["golden", "idempotent33", "abelian-envelope", "crafted"])

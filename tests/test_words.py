@@ -41,6 +41,16 @@ def test_signature_basics():
         AlgebraSignature(n=1, locality=(2, 2), generators=("a",))
 
 
+@pytest.mark.parametrize("n, locality, generators, message", [
+    (0, (), ("a",), "n must be at least 1"),
+    (1, (0,), ("a",), "locality entries must be at least 1"),
+    (1, (2,), (), "at least one generator"),
+], ids=["n-zero", "locality-zero", "no-generators"])
+def test_signature_rejects_degenerate_input(n, locality, generators, message):
+    with pytest.raises(ValueError, match=message):
+        AlgebraSignature(n, locality, generators)
+
+
 def test_word_accessors():
     u = w((0, (1, 0)), (1, (0, 1)), tail=0, taild=(2, 0))
     assert u.length == 3
