@@ -14,7 +14,11 @@ peel terms start with distinct links).  A bare generator's product is
 mul_prefix's, with no mul_words entry; the other word-level results (the
 dodge, mul_words, derive_word) are memoized on immutable keys.  The peel
 and the dodge read their (−1)^|s| C(m, s) weights from one per-label table,
-and prepended words are interned so that memo results share word objects.
+built one coordinate at a time, and prepended words are interned so that
+memo results share word objects.  In an expression tree, a right-normed
+run g1⟨m1⟩(g2⟨m2⟩(… rest)) of bare generators under valid labels is a
+chain of such prepends, so normalize_tree prepends the run's links to each
+word of rest in one pass.
 
 The three structural invariants (length preservation, grade conservation,
 D-free closure) can be checked on every single operation by constructing
@@ -25,19 +29,19 @@ An audit that fails raises RuntimeError.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
+from math import comb, prod
 from operator import add
 
 from .indices import (
     MultiIndex,
-    binom_multi,
     falling_factorial,
     index_add,
     index_sub,
-    iter_below,
     iter_box,
     sign_of,
     unit_index,
+    zero_index,
 )
 from .words import (
     AlgebraSignature,
@@ -91,11 +95,13 @@ class Engine:
                 "intern": len(self._interned), "facts": len(self._facts)}
 
     def _weights(self, m: MultiIndex) -> tuple:
-        """``(s, m − s, (−1)^|s| C(m, s))`` for every s ≤ m, s = 0 first."""
+        """``(s, m − s, (−1)^|s| C(m, s))`` for every s ≤ m in ``iter_below``
+        order: the product of the coordinates' rows ``(k, m_t − k, (−1)^k C(m_t, k))``."""
         row = self._weights_memo.get(m)
         if row is None:
-            row = tuple((s, index_sub(m, s), sign_of(s) * binom_multi(m, s))
-                        for s in iter_below(m))
+            cols = [[(k, mt - k, (-1) ** k * comb(mt, k)) for k in range(mt + 1)] for mt in m]
+            row = tuple((s, ms, prod(c)) for s, ms, c in
+                        (zip(*entries) for entries in product(*cols)))
             self._weights_memo[m] = row
         return row
 
@@ -152,7 +158,7 @@ class Engine:
             x = NormalWord(((gen, m),) + w.links, w.tail, w.taild)
             out = ConfPoly.from_word(self._intern(x, x))
             if self.check:
-                self._audit_prefix(out, gen, m, w)
+                self._audit_prefix(out, ((gen, m),), w)
             return out
         key = (gen, m, w)
         hit = self._prefix_memo.get(key)
@@ -187,21 +193,25 @@ class Engine:
                     accumulate(terms, self.mul_prefix_poly(gen, ms, inner).terms, -c)
             out = ConfPoly._raw(terms)
         if self.check:
-            self._audit_prefix(out, gen, m, w)
+            self._audit_prefix(out, ((gen, m),), w)
         self._prefix_memo[key] = out
         return out
 
+    def _prepend(self, links: tuple, p: ConfPoly) -> ConfPoly:
+        """``links`` (valid labels) prepended to each word of p, interned;
+        distinct words stay distinct, so p's order and coefficients hold."""
+        intern = self._intern
+        terms = {}
+        for w, c in p.terms.items():
+            x = NormalWord(links + w.links, w.tail, w.taild)
+            terms[intern(x, x)] = c
+            if self.check:
+                self._audit_prefix(ConfPoly.from_word(x), links, w)
+        return ConfPoly._raw(terms)
+
     def mul_prefix_poly(self, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
         if m in self._valid:
-            # distinct words stay distinct under one prepended link
-            intern, link = self._intern, ((gen, m),)
-            terms = {}
-            for w, c in p.terms.items():
-                x = NormalWord(link + w.links, w.tail, w.taild)
-                terms[intern(x, x)] = c
-                if self.check:
-                    self._audit_prefix(ConfPoly.from_word(x), gen, m, w)
-            return ConfPoly._raw(terms)
+            return self._prepend(((gen, m),), p)
         out: dict = {}
         for w, c in p.terms.items():
             accumulate(out, self.mul_prefix(gen, m, w).terms, c)
@@ -259,6 +269,16 @@ class Engine:
     # -- expression trees -------------------------------------------------
 
     def normalize_tree(self, tree: ExprTree) -> ConfPoly:
+        # a right-normed run g1<m1>(g2<m2>(... rest)) of bare generators in
+        # range under valid labels prepends its links to rest's words at once
+        run, zero, ngens = [], zero_index(self.sig.n), len(self.sig.generators)
+        while (isinstance(tree, Node) and isinstance(tree.left, Leaf)
+               and tree.left.dexp == zero and 0 <= tree.left.gen < ngens
+               and tree.label in self._valid):
+            run.append((tree.left.gen, tree.label))
+            tree = tree.right
+        if run:
+            return self._prepend(tuple(run), self.normalize_tree(tree))
         if isinstance(tree, Leaf):
             if not 0 <= tree.gen < len(self.sig.generators):
                 raise ValueError(f"leaf generator {tree.gen} is not in the signature")
@@ -288,11 +308,15 @@ class Engine:
             self._facts[x] = facts
         return facts
 
-    def _audit_prefix(self, out: ConfPoly, gen: int, m: MultiIndex, w: NormalWord) -> None:
-        if not 0 <= gen < len(self.sig.generators):
-            raise RuntimeError(f"engine audit: generator {gen} is not in the signature")
+    def _audit_prefix(self, out: ConfPoly, links: tuple, w: NormalWord) -> None:
+        """Audit ``out`` as the product of the chain ``links`` with w."""
+        for gen, _ in links:
+            if not 0 <= gen < len(self.sig.generators):
+                raise RuntimeError(f"engine audit: generator {gen} is not in the signature")
         length, grades, dfree = self._word_facts(w)
-        self._audit(out, 1 + length, tuple(map(add, m, grades)), dfree)
+        for _, m in links:
+            grades = tuple(map(add, m, grades))
+        self._audit(out, len(links) + length, grades, dfree)
 
     def _audit(self, out: ConfPoly, length: int, grades: tuple[int, ...],
                dfree: bool) -> None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import NamedTuple
 
 from .engine import Engine
@@ -504,8 +504,15 @@ class RewriteSystem:
     def irreducible_words(self, max_length: int, max_taild: MultiIndex | None = None) -> list[NormalWord]:
         """All normal words within the bounds with no occurrence, ascending.
 
-        Raises ValueError, before it builds any, once the candidate words up
-        to some length number more than ``MAX_BASIS_CANDIDATES``.
+        By the Composition-Diamond lemma they are a linear basis of the
+        quotient, within the bounds, once the system is complete.  A walk
+        over link prefixes finds them (the graph of normal words).  At each
+        prefix, the rules whose lead ends at a next generator g decide: a
+        D-free one cuts every link with g, as each extension keeps its
+        match, and a tail g with exponent d is kept unless one has a lead
+        tail exponent at most d.  Raises ValueError, before it walks, once
+        the normal words up to some length number more than
+        ``MAX_BASIS_CANDIDATES``.
         """
         sig = self.sig
         if max_taild is None:
@@ -519,16 +526,21 @@ class RewriteSystem:
                 raise ValueError(f"{count} candidate words up to length {length} exceed the "
                                  f"budget of {MAX_BASIS_CANDIDATES}")
         tailds = list(iter_box(tuple(b + 1 for b in max_taild)))
-        valid_labels = list(iter_box(sig.locality))
+        labels = list(iter_box(sig.locality))
+        leads, lengths, rules = self._index.leads, self._index.lengths, self.rules
         out = []
-        for length in range(1, max_length + 1):
-            for gens in product(range(ngens), repeat=length):
-                for labels in product(valid_labels, repeat=length - 1):
-                    links = tuple(zip(gens[:-1], labels))
-                    for taild in tailds:
-                        w = NormalWord(links, gens[-1], taild)
-                        if not self.find_occurrences(w):
-                            out.append(w)
+        prefixes = [()]
+        while prefixes:
+            links = prefixes.pop()
+            n = len(links)
+            for g in range(ngens):
+                # the rules whose lead is a suffix of links followed by g
+                found = [rules[e] for L in lengths if L <= n + 1
+                         for e in leads.get((links[n + 1 - L:], g), ())]
+                out.extend(NormalWord(links, g, d) for d in tailds
+                           if not any(all(map(le, r.lead.taild, d)) for r in found))
+                if n + 1 < max_length and not any(r.dfree for r in found):
+                    prefixes.extend(links + ((g, m),) for m in labels)
         out.sort(key=NormalWord.weight_key)
         return out
 

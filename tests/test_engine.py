@@ -20,6 +20,7 @@ from confgsb.indices import (
     index_add,
     index_sub,
     iter_below,
+    iter_box,
     sign_of,
     unit_index,
 )
@@ -240,12 +241,14 @@ def test_normalize_rejects_malformed_node_labels(left, label):
 
 
 def _mul_poly_route(e, tree):
-    """``normalize_tree`` with every node through ``mul_poly``, the route a
-    bare-generator left operand took before it went to ``mul_prefix_poly``."""
-    if isinstance(tree, Leaf):
+    """``normalize_tree`` with every node through ``mul_poly`` after its label
+    check, the route each node took before right-normed runs were prepended
+    at once: the reference for the run prepend's values, order and errors."""
+    if not isinstance(tree, Node):
         return e.normalize_tree(tree)
-    return e.mul_poly(_mul_poly_route(e, tree.left), tree.label,
-                      _mul_poly_route(e, tree.right))
+    left, right = _mul_poly_route(e, tree.left), _mul_poly_route(e, tree.right)
+    e._check_index("node label", tree.label)
+    return e.mul_poly(left, tree.label, right)
 
 
 @pytest.mark.parametrize("kw", [{"check": True}, {"check": False}, {"cache": False}],
@@ -288,6 +291,93 @@ def test_right_nested_valid_chain_takes_no_words_memo_entry():
     chain = Node(Leaf(0, (0, 0)), (1, 1), Node(Leaf(0, (0, 0)), (0, 1), Leaf(0, (1, 0))))
     assert e.normalize_tree(chain) == poly((1, word2((1, 1), (0, 1), taild=(1, 0))))
     assert e.memo_sizes()["words"] == 0 and e.memo_sizes()["prefix"] == 0
+
+
+_Z = (0, 0)
+_AB = AlgebraSignature(2, (2, 2), ("a", "b"))
+_RUN_TREES = {
+    # a run of three links over a derived leaf
+    "run": Node(Leaf(0, _Z), (1, 1), Node(Leaf(1, _Z), (0, 1),
+                                          Node(Leaf(0, _Z), (1, 0), Leaf(1, (1, 0))))),
+    # an invalid label parts two runs
+    "invalid-label": Node(Leaf(0, _Z), (1, 0), Node(Leaf(1, _Z), (2, 1),
+                                                    Node(Leaf(0, _Z), (0, 1), Leaf(1, _Z)))),
+    "derived-leaf": Node(Leaf(0, _Z), (1, 1), Node(Leaf(1, (1, 0)), (1, 1),
+                                                   Node(Leaf(0, _Z), (1, 0), Leaf(0, _Z)))),
+    "parenthesized": Node(Leaf(0, _Z), (0, 1), Node(Node(Leaf(1, _Z), (1, 0), Leaf(0, _Z)), (1, 1),
+                                                    Node(Leaf(0, _Z), (0, 0), Leaf(1, _Z)))),
+    # the run's rest has several words, so the prepend keeps an order
+    "several-words": Node(Leaf(1, _Z), (0, 0), Node(Leaf(0, _Z), (1, 1), Node(
+        Node(Leaf(1, _Z), (1, 1), Leaf(0, _Z)), (1, 0), Leaf(0, (0, 1))))),
+}
+
+
+@pytest.mark.parametrize("kw", [{"check": True}, {"check": False}, {"cache": False}],
+                         ids=["check", "plain", "no-cache"])
+@pytest.mark.parametrize("case", list(_RUN_TREES))
+def test_run_prepend_matches_per_node_route(case, kw):
+    tree = _RUN_TREES[case]
+    e, ref = engine(_AB, **kw), engine(_AB, **kw)
+    got, want = e.normalize_tree(tree), _mul_poly_route(ref, tree)
+    assert list(got.terms.items()) == list(want.terms.items()) and got
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert got.terms == naive_normalize(_AB, [(1, tree)])
+    # under check=True every word the prepend writes is audited
+    assert (e.invariant_checks > 0) == kw.get("check", False)
+
+
+def test_run_prepend_matches_per_node_route_on_random_chains():
+    # right-leaning chains whose links are bare generators, derived ones or
+    # products, under valid and invalid labels
+    rng = random.Random(20)
+    sig = AlgebraSignature(2, (2, 3), ("a", "b"))
+
+    def leaf():
+        return Leaf(rng.randrange(2), (rng.choice((0, 0, 0, 1)), rng.choice((0, 0, 0, 1))))
+
+    def chain(depth):
+        if depth == 0:
+            return leaf()
+        left = leaf() if rng.random() < 0.8 else Node(leaf(), (rng.randrange(2), 0), leaf())
+        label = (rng.randint(0, 2), rng.randint(0, 2 if rng.random() < 0.2 else 3))
+        return Node(left, label, chain(depth - 1))
+
+    for check in (True, False):
+        e, ref = engine(sig, check=check), engine(sig, check=check)
+        for _ in range(80):
+            tree = chain(rng.randint(1, 5))
+            got, want = e.normalize_tree(tree), _mul_poly_route(ref, tree)
+            assert list(got.terms.items()) == list(want.terms.items()), tree
+        assert (e.invariant_checks > 0) == check
+
+
+@pytest.mark.parametrize("tree", [
+    Node(Leaf(0, _Z), (1, 0), Node(Leaf(5, _Z), (0, 1), Leaf(0, _Z))),
+    Node(Leaf(0, _Z), (1, 0), Node(Leaf(1, _Z), (0, 1), Leaf(7, _Z))),
+    Node(Leaf(0, _Z), (1, 0), Node(Leaf(0, _Z), (0,), Leaf(0, _Z))),
+    Node(Leaf(0, _Z), (1, 0), Node(Leaf(0, _Z), (0, 0, 0), Leaf(9, _Z))),
+    Node(Leaf(0, _Z), (1, 0), Node(Leaf(0, _Z), (-1, 0), Leaf(0, _Z))),
+    Node(Leaf(0, _Z), (1, 1), Node(Leaf(0, (0,)), (0, 0), Leaf(0, _Z))),
+    Node(Leaf(0, _Z), (0, 1), "a"),
+], ids=["leaf-in-run", "leaf-as-rest", "short-label", "long-label", "negative-label",
+        "short-leaf-exponent", "not-a-tree"])
+def test_run_prepend_raises_as_per_node_route(tree):
+    with pytest.raises(ValueError) as got:
+        eng(_AB).normalize_tree(tree)
+    with pytest.raises(ValueError) as want:
+        _mul_poly_route(eng(_AB), tree)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("box", [(7,), (5, 5), (4, 3, 4)], ids=["n=1", "n=2", "n=3"])
+def test_weight_rows_match_binomial_reference(box):
+    # each row built one coordinate at a time equals the row of binom_multi
+    # over iter_below, order included
+    e = Engine(AlgebraSignature(len(box), (2,) * len(box), ("a",)))
+    for m in iter_box(box):
+        want = tuple((s, index_sub(m, s), sign_of(s) * binom_multi(m, s)) for s in iter_below(m))
+        assert e._weights(m) == want
+        assert all(type(c) is int for _, _, c in e._weights(m))
 
 
 # --- the golden identity suite -----------------------------------------------

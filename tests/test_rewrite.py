@@ -8,12 +8,14 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from confgsb import cli
 from confgsb.engine import Engine
 from confgsb.envelope import enveloping_presentation, lie_conformal, lie_relation
-from confgsb.indices import iter_box
+from confgsb.indices import iter_box, zero_index
 from confgsb.rewrite import (
     BOUNDED_COMPLETE,
     COMPLETE,
@@ -1110,6 +1112,70 @@ def test_irreducible_words_ascending():
     words = system.irreducible_words(3)
     keys = [u.weight_key() for u in words]
     assert keys == sorted(keys)
+
+
+def _irreducible_words_by_scan(system, max_length, max_taild=None):
+    """The candidate enumerator that ``irreducible_words`` replaced, kept as
+    its reference: every normal word within the bounds, asked of
+    ``find_occurrences`` one at a time."""
+    sig = system.sig
+    if max_taild is None:
+        max_taild = zero_index(sig.n)
+    ngens = len(sig.generators)
+    tailds = list(iter_box(tuple(b + 1 for b in max_taild)))
+    valid_labels = list(iter_box(sig.locality))
+    out = []
+    for length in range(1, max_length + 1):
+        for gens in itertools.product(range(ngens), repeat=length):
+            for labels in itertools.product(valid_labels, repeat=length - 1):
+                links = tuple(zip(gens[:-1], labels))
+                for taild in tailds:
+                    u = NormalWord(links, gens[-1], taild)
+                    if not system.find_occurrences(u):
+                        out.append(u)
+    out.sort(key=NormalWord.weight_key)
+    return out
+
+
+_DATA_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def _file_system(name):
+    pres = cli._load(str(_DATA_DIR / name))
+    return cli._system(pres, Engine(pres.signature))
+
+
+def _basis_system(case):
+    if case == "golden":
+        return complete(ENG, [F])[0]
+    if case == "abelian-envelope":
+        eng, relations = _abelian_envelope_relations()
+        return RewriteSystem(eng, relations)
+    return _file_system(case)
+
+
+@pytest.mark.parametrize("case, max_length, max_taild", [
+    *(("golden", length, None) for length in range(1, 10)),
+    ("golden_basis.alg", 4, (1, 1)),
+    *(("idempotent33_basis.alg", length, None) for length in range(1, 6)),
+    ("idempotent33_basis.alg", 4, (1, 2)),
+    ("golden.alg", 5, None),
+    ("abelian-envelope", 3, (1, 1)), ("abelian-envelope", 4, (1, 1))], ids=str)
+def test_irreducible_words_match_scan_reference(case, max_length, max_taild):
+    # the walk over link prefixes lists the scan's words in the scan's order
+    system = _basis_system(case)
+    got = system.irreducible_words(max_length, max_taild)
+    assert got == _irreducible_words_by_scan(system, max_length, max_taild)
+    assert got and max(u.length for u in got) == max_length
+
+
+def test_irreducible_words_walk_reaches_long_words():
+    # length 12 of the golden basis: 1 + 3 + 4 * 10 words, where the scan
+    # would ask about 5.6 million candidates; the walk asks none
+    system = complete(ENG, [F])[0]
+    system.find_occurrences = None
+    words = system.irreducible_words(12)
+    assert len(words) == 44 and words[-1].length == 12
 
 
 def test_ideal_membership():
