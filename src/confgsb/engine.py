@@ -4,21 +4,30 @@ Everything here reduces bracketed products of (possibly derived) generators
 to the canonical right-normed basis: words with valid labels and a trailing
 derivation exponent.  Unlike the reference evaluator in naive.py, the engine
 uses closed forms — falling-factorial products for derived left operands and
-a binomial "dodge" that trades an invalid label against the head pair of the
-right operand.
+a "dodge" that trades an invalid label against the head pair of the right
+operand in one level:
+
+    gen⟨m⟩(b⟨m′⟩v) = Σ_u W(m,u) · gen⟨m−u⟩(b⟨m′+u⟩v),  W(m,u) = Π_t w_t(m_t,u_t)
+
+with w_t = [u_t = 0] where m_t < N_t, and otherwise, with a = m_t − N_t + 1,
+w_t = (−1)^(u_t+a) C(m_t,u_t) C(u_t−1,a−1) for a ≤ u_t ≤ m_t and 0 below a.
+Locality makes gen⟨k⟩b vanish for every k with some k_t ≥ N_t; solving the
+left-nested expansions of those zero products coordinate by coordinate gives
+w_t, and every outer label m − u with a nonzero weight is valid.
 
 A product under a valid label only prepends a link, so it is written
-directly: it takes no memo entry, and the left-nested peel of mul_words,
-whose labels are all valid, builds its terms without accumulating (distinct
-peel terms start with distinct links).  A bare generator's product is
-mul_prefix's, with no mul_words entry; the other word-level results (the
-dodge, mul_words, derive_word) are memoized on immutable keys.  The peel
-and the dodge read their (−1)^|s| C(m, s) weights from one per-label table,
-built one coordinate at a time, and prepended words are interned so that
-memo results share word objects.  In an expression tree, a right-normed
-run g1⟨m1⟩(g2⟨m2⟩(… rest)) of bare generators under valid labels is a
-chain of such prepends, so normalize_tree prepends the run's links to each
-word of rest in one pass.
+directly: it takes no memo entry.  The left-nested peel of mul_words and
+the dodge therefore both build their terms without accumulating: each term
+prepends the link (gen, m − u) onto a memoized product, and distinct u give
+distinct links.  A bare generator's product is mul_prefix's, with no
+mul_words entry; the other word-level results (the dodge, mul_words,
+derive_word) are memoized on immutable keys.  The peel's (−1)^|s| C(m, s)
+rows and the dodge's W rows share one per-label table, built one coordinate
+at a time, and prepended words are interned so that memo results share
+word objects.  In an expression tree, a right-normed run
+g1⟨m1⟩(g2⟨m2⟩(… rest)) of bare generators under valid labels is a chain of
+such prepends, so normalize_tree prepends the run's links to each word of
+rest in one pass.
 
 The three structural invariants (length preservation, grade conservation,
 D-free closure) can be checked on every single operation by constructing
@@ -29,7 +38,7 @@ An audit that fails raises RuntimeError.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from math import comb, prod
 from operator import add
 
@@ -87,7 +96,7 @@ class Engine:
 
         ``prefix``, ``words`` and ``derive`` are the result memos (a product
         under a valid label takes no entry), ``weights`` the per-label
-        binomial rows, ``intern`` the interned prepended words and ``facts``
+        weight rows, ``intern`` the interned prepended words and ``facts``
         the audited words (filled only with check=True).
         """
         return {"prefix": len(self._prefix_memo), "words": len(self._words_memo),
@@ -95,15 +104,40 @@ class Engine:
                 "intern": len(self._interned), "facts": len(self._facts)}
 
     def _weights(self, m: MultiIndex) -> tuple:
-        """``(s, m − s, (−1)^|s| C(m, s))`` for every s ≤ m in ``iter_below``
-        order: the product of the coordinates' rows ``(k, m_t − k, (−1)^k C(m_t, k))``."""
+        """``(u, m − u, c)`` for every nonzero weight c, u ascending: the
+        product of the coordinates' rows ``(k, m_t − k, c_t)``.  A valid m
+        gets the peel's row, c = (−1)^|u| C(m, u); an invalid m the dodge's,
+        c = W(m, u), whose labels m − u are all valid."""
         row = self._weights_memo.get(m)
         if row is None:
-            cols = [[(k, mt - k, (-1) ** k * comb(mt, k)) for k in range(mt + 1)] for mt in m]
+            valid, cols = m in self._valid, []
+            for mt, bound in zip(m, self.sig.locality):
+                a = mt - bound + 1
+                if valid:
+                    cols.append([(k, mt - k, (-1) ** k * comb(mt, k)) for k in range(mt + 1)])
+                elif a <= 0:
+                    cols.append([(0, mt, 1)])
+                else:
+                    cols.append([(k, mt - k, (-1) ** (k + a) * comb(mt, k) * comb(k - 1, a - 1))
+                                 for k in range(a, mt + 1)])
             row = tuple((s, ms, prod(c)) for s, ms, c in
                         (zip(*entries) for entries in product(*cols)))
             self._weights_memo[m] = row
         return row
+
+    def _link_sum(self, gen: int, row: tuple, inner, left, label: MultiIndex,
+                  v: NormalWord) -> ConfPoly:
+        """Σ c · gen⟨ms⟩ inner(left, label + s, v) over the ``(s, ms, c)`` of
+        a row of valid labels ms: each term only prepends the link (gen, ms),
+        interned, and distinct s give distinct links, so nothing meets."""
+        intern = self._intern
+        terms: dict = {}
+        for s, ms, c in row:
+            link = ((gen, ms),)
+            for x, cx in inner(left, tuple(map(add, label, s)), v).terms.items():
+                x = NormalWord(link + x.links, x.tail, x.taild)
+                terms[intern(x, x)] = c * cx
+        return ConfPoly._raw(terms)
 
     def _check_index(self, what: str, i: MultiIndex) -> None:
         if len(i) != self.sig.n or min(i) < 0:
@@ -180,18 +214,12 @@ class Engine:
                     accumulate(out.terms, self.mul_prefix(gen, index_sub(m, e_t), y).terms, m[t])
         else:
             # invalid label against a longer word: gen⟨m⟩(head generator)
-            # vanishes, so the expansion of that zero product can be solved
-            # for its s = 0 term (the first row of the table) — a dodge onto
-            # strictly smaller labels:
-            # gen⟨m⟩w = −Σ_{s≠0} (−1)^|s| C(m,s) gen⟨m−s⟩(b⟨m′+s⟩v)
+            # vanishes, and solving the expansions of such zero products
+            # gives a closed form onto valid labels only:
+            # gen⟨m⟩(b⟨m′⟩v) = Σ_u W(m,u) gen⟨m−u⟩(b⟨m′+u⟩v)
             (b, mp) = w.links[0]
             v = NormalWord(w.links[1:], w.tail, w.taild)
-            terms: dict = {}
-            for s, ms, c in islice(self._weights(m), 1, None):
-                inner = self.mul_prefix(b, tuple(map(add, mp, s)), v)
-                if inner:
-                    accumulate(terms, self.mul_prefix_poly(gen, ms, inner).terms, -c)
-            out = ConfPoly._raw(terms)
+            out = self._link_sum(gen, self._weights(m), self.mul_prefix, b, mp, v)
         if self.check:
             self._audit_prefix(out, ((gen, m),), w)
         self._prefix_memo[key] = out
@@ -238,20 +266,11 @@ class Engine:
         else:
             # peel the first link through the left-nested expansion:
             # (b⟨m1⟩u1)⟨m⟩v = Σ_s (−1)^|s| C(m1,s) b⟨m1−s⟩(u1⟨m+s⟩v)
-            # m1 − s is a valid label, so each term only prepends the link
-            # (b, m1 − s); distinct s give distinct links, so nothing meets.
             (b, m1) = u.links[0]
             if m1 not in self._valid:
                 raise ValueError(f"{u} is not a normal word: label {m1} is not valid")
             u1 = NormalWord(u.links[1:], u.tail, u.taild)
-            intern = self._intern
-            terms: dict = {}
-            for s, ms, c in self._weights(m1):
-                link = ((b, ms),)
-                for x, cx in self.mul_words(u1, tuple(map(add, m, s)), v).terms.items():
-                    x = NormalWord(link + x.links, x.tail, x.taild)
-                    terms[intern(x, x)] = c * cx
-            out = ConfPoly._raw(terms)
+            out = self._link_sum(b, self._weights(m1), self.mul_words, u1, m, v)
         if self.check:
             ul, ug, ud = self._word_facts(u)
             vl, vg, vd = self._word_facts(v)

@@ -38,7 +38,8 @@ RIGHT_MUL = "right-mul"
 KINDS = (INCLUSION, RIGHT_INCLUSION, INTERSECTION, LEFT_MUL, RIGHT_MUL)
 KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
-# irreducible_words refuses to build more candidate words than this
+# irreducible_words refuses once its tail exponents, visited prefixes and
+# listed words number more than this
 MAX_BASIS_CANDIDATES = 10 ** 7
 
 COMPLETE = "complete"
@@ -510,21 +511,18 @@ class RewriteSystem:
         prefix, the rules whose lead ends at a next generator g decide: a
         D-free one cuts every link with g, as each extension keeps its
         match, and a tail g with exponent d is kept unless one has a lead
-        tail exponent at most d.  Raises ValueError, before it walks, once
-        the normal words up to some length number more than
-        ``MAX_BASIS_CANDIDATES``.
+        tail exponent at most d.  Raises ValueError once the tail exponents,
+        the prefixes visited and the words listed number more than
+        ``MAX_BASIS_CANDIDATES``; the tail exponents are counted before the
+        walk builds them.
         """
         sig = self.sig
         if max_taild is None:
             max_taild = zero_index(sig.n)
-        ngens, nlabels = len(sig.generators), prod(sig.locality)
-        count, words = 0, prod(b + 1 for b in max_taild) * ngens
-        for length in range(1, max_length + 1):
-            count += words  # tail exponents × ngens^length × nlabels^(length − 1)
-            words *= ngens * nlabels
-            if count > MAX_BASIS_CANDIDATES:
-                raise ValueError(f"{count} candidate words up to length {length} exceed the "
-                                 f"budget of {MAX_BASIS_CANDIDATES}")
+        count = prod(b + 1 for b in max_taild)
+        if count > MAX_BASIS_CANDIDATES:
+            raise ValueError(f"{count} tail exponents exceed the budget of {MAX_BASIS_CANDIDATES}")
+        ngens = len(sig.generators)
         tailds = list(iter_box(tuple(b + 1 for b in max_taild)))
         labels = list(iter_box(sig.locality))
         leads, lengths, rules = self._index.leads, self._index.lengths, self.rules
@@ -541,6 +539,10 @@ class RewriteSystem:
                            if not any(all(map(le, r.lead.taild, d)) for r in found))
                 if n + 1 < max_length and not any(r.dfree for r in found):
                     prefixes.extend(links + ((g, m),) for m in labels)
+            count += 1
+            if count + len(out) > MAX_BASIS_CANDIDATES:
+                raise ValueError(f"{count + len(out)} tail exponents, prefixes and words up to "
+                                 f"length {n + 1} exceed the budget of {MAX_BASIS_CANDIDATES}")
         out.sort(key=NormalWord.weight_key)
         return out
 

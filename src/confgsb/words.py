@@ -70,9 +70,6 @@ class NormalWord(NamedTuple):
     def is_dfree(self) -> bool:
         return not any(self.taild)
 
-    def gens(self) -> tuple[int, ...]:
-        return tuple(g for g, _ in self.links) + (self.tail,)
-
     def link_sum(self, t: int) -> int:
         """Total t-component carried by the word's labels (tail exponent excluded)."""
         return sum(m[t] for _, m in self.links)
@@ -199,9 +196,6 @@ class ConfPoly:
         """Length of the leading word (0 for the zero polynomial)."""
         return self.leading_word().length if self.terms else 0
 
-    def coeff(self, w: NormalWord) -> Coeff:
-        return self.terms.get(w, 0)
-
     def __add__(self, other: "ConfPoly") -> "ConfPoly":
         return self.add_scaled(other, 1)
 
@@ -274,26 +268,3 @@ class Node:
 # imported copy of this module alive
 ExprTree = Leaf | Node
 LinComb = list[tuple[Coeff, ExprTree]]
-
-
-def tree_leaves(tree: ExprTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return tree_leaves(tree.left) + tree_leaves(tree.right)
-
-
-def tree_grade(tree: ExprTree, t: int) -> int:
-    """t-grading of a tree: node labels count +1 each, leaf exponents -1.
-
-    Matches NormalWord.grade — every word in the normal form of a tree
-    carries exactly this grade, coordinate by coordinate.
-    """
-    if isinstance(tree, Leaf):
-        return -tree.dexp[t]
-    return tree.label[t] + tree_grade(tree.left, t) + tree_grade(tree.right, t)
-
-
-def tree_is_dfree(tree: ExprTree) -> bool:
-    if isinstance(tree, Leaf):
-        return not any(tree.dexp)
-    return tree_is_dfree(tree.left) and tree_is_dfree(tree.right)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from confgsb import cli
+from confgsb import cli, rewrite
 from confgsb.envelope import HalfPBWReport
 from confgsb.words import ConfPoly, NormalWord
 
@@ -452,25 +452,42 @@ def test_non_ascii_digit_taild_exits_65(completed, capsys):
     assert err == "confgsb: error: malformed tail bound '²'\n"
 
 
-@pytest.mark.parametrize("bounds, count", [
-    # 1000001^2 tail exponents: the count passes the budget at length 1
-    (["--max-length", "2", "--max-taild", "1000000"],
-     "1000002000001 candidate words up to length 1"),
-    # 4 labels: (4^13 - 1) / 3 words up to length 13, 5592405 up to length 12
-    (["--max-length", "13"], "22369621 candidate words up to length 13"),
-], ids=["taild", "length"])
-def test_basis_refuses_too_many_candidates(completed, bounds, count):
-    # the command must refuse before it builds a candidate; the cap on the
-    # address space makes a run that builds them fail instead of filling memory
+def test_basis_refuses_a_huge_tail_box_before_building_it(completed):
+    # 1000001^2 tail exponents pass the budget before the walk starts; the
+    # cap on the address space makes a run that builds them fail instead of
+    # filling memory
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "confgsb.cli", "basis", completed, *bounds],
+        [sys.executable, "-m", "confgsb.cli", "basis", completed,
+         "--max-length", "2", "--max-taild", "1000000"],
         capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert (proc.returncode, proc.stdout) == (65, "")
-    assert proc.stderr == f"confgsb: error: {count} exceed the budget of 10000000\n"
+    assert proc.stderr == ("confgsb: error: 1000002000001 tail exponents exceed the budget "
+                           "of 10000000\n")
+
+
+def test_basis_budget_counts_the_walk_not_all_normal_words(completed, capsys):
+    # the 22369621 normal words up to length 13 are never built: the walk
+    # lists the 1 + 3 + 4 * 11 irreducible ones
+    code, out, _ = run(capsys, "basis", completed, "--max-length", "13")
+    assert code == 0 and len(out.splitlines()) == 1 + 3 + 4 * 11
+
+
+def test_basis_refuses_a_walk_over_the_budget(tmp_path, capsys, monkeypatch):
+    # with no relation to cut it, the walk visits every prefix; the budget is
+    # lowered so that the refusal comes in milliseconds
+    path = tmp_path / "free.alg"
+    path.write_text("algebra\n  n: 2\n  locality: [2, 2]\n  generators: [a]\n")
+    monkeypatch.setattr(rewrite, "MAX_BASIS_CANDIDATES", 1000)
+    code, out, err = run(capsys, "basis", str(path), "--max-length", "8")
+    assert (code, out) == (65, "")
+    assert err == ("confgsb: error: 1001 tail exponents, prefixes and words up to length 8 "
+                   "exceed the budget of 1000\n")
+    code, out, _ = run(capsys, "basis", str(path), "--max-length", "4")
+    assert code == 0 and len(out.splitlines()) == 1 + 4 + 16 + 64
 
 
 # -- determinism and the installed entry point ------------------------------------

@@ -6,6 +6,9 @@ every single operation these tests perform.
 """
 
 import copy
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,8 +37,8 @@ from confgsb.words import (
     NormalWord,
     accumulate,
     single_word,
-    tree_is_dfree,
 )
+from helpers import tree_grade, tree_is_dfree, tree_leaves
 
 SIG2 = AlgebraSignature(n=2, locality=(2, 2), generators=("a",))
 A = single_word(0, 2)
@@ -371,13 +374,53 @@ def test_run_prepend_raises_as_per_node_route(tree):
 
 @pytest.mark.parametrize("box", [(7,), (5, 5), (4, 3, 4)], ids=["n=1", "n=2", "n=3"])
 def test_weight_rows_match_binomial_reference(box):
-    # each row built one coordinate at a time equals the row of binom_multi
-    # over iter_below, order included
-    e = Engine(AlgebraSignature(len(box), (2,) * len(box), ("a",)))
+    # each valid label's row, built one coordinate at a time, equals the row
+    # of binom_multi over iter_below, order included
+    e = Engine(AlgebraSignature(len(box), box, ("a",)))
     for m in iter_box(box):
         want = tuple((s, index_sub(m, s), sign_of(s) * binom_multi(m, s)) for s in iter_below(m))
         assert e._weights(m) == want
         assert all(type(c) is int for _, _, c in e._weights(m))
+
+
+@functools.cache
+def _dodge_row(m, bound):
+    """{u: weight} with gen⟨m⟩(b⟨q⟩v) = Σ_u weight · gen⟨m−u⟩(b⟨q+u⟩v), all
+    m − u valid, by the defining recursion: m < bound is itself valid, and
+    otherwise the vanishing gen⟨m⟩b gives Σ_s (−1)^s C(m,s) gen⟨m−s⟩(b⟨q+s⟩v)
+    = 0, solved for s = 0, each term with m − s ≥ bound expanded again."""
+    if m < bound:
+        return {0: 1}
+    row = {}
+    for s in range(1, m + 1):
+        for u, c in _dodge_row(m - s, bound).items():
+            row[s + u] = row.get(s + u, 0) - (-1) ** s * math.comb(m, s) * c
+    return {u: c for u, c in sorted(row.items()) if c}
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_dodge_rows_match_defining_recursion(bound):
+    # n = 1: an invalid label's row is w_t itself, with a = m − N + 1 ≥ 1
+    e = Engine(AlgebraSignature(1, (bound,), ("a",)))
+    for m in range(bound, bound + 6):
+        want = tuple(((u,), (m - u,), c) for u, c in _dodge_row(m, bound).items())
+        assert e._weights((m,)) == want
+        assert all(type(c) is int for _, _, c in e._weights((m,)))
+
+
+@pytest.mark.parametrize("box", [(2, 3), (1, 2, 2)], ids=["(2,3)", "(1,2,2)"])
+def test_dodge_rows_are_products_of_coordinate_rows(box):
+    # an invalid label's row is the product of the coordinates' rows, a valid
+    # coordinate's row being {0: 1}, and every outer label in it is valid
+    e = Engine(AlgebraSignature(len(box), box, ("a",)))
+    for m in iter_box(tuple(b + 4 for b in box)):
+        if e.sig.is_valid(m):
+            continue
+        rows = [_dodge_row(mt, b) for mt, b in zip(m, box)]
+        want = tuple((u, index_sub(m, u), math.prod(r[k] for r, k in zip(rows, u)))
+                     for u in itertools.product(*rows))
+        assert e._weights(m) == want
+        assert all(e.sig.is_valid(ms) for _, ms, _ in want)
 
 
 # --- the golden identity suite -----------------------------------------------
@@ -565,8 +608,6 @@ def test_dfree_vanishing_threshold(tree):
     # D-free trees whose grade exceeds (leaves−1)(N_t−1) normalize to zero
     if not tree_is_dfree(tree):
         return
-    from confgsb.words import tree_grade, tree_leaves
-
     e = eng()
     out = e.normalize_tree(tree)
     leaves = tree_leaves(tree)
@@ -717,8 +758,10 @@ def test_memo_sizes():
     e.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
     e.derive_word(0, word2((1, 1), (0, 1)))
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
-    assert e.memo_sizes() == {"prefix": 20, "words": 1, "derive": 3,
-                              "weights": 7, "intern": 4, "facts": 12}
+    # the dodge takes one level: its terms prepend onto mul_prefix results
+    # and take no mul_prefix_poly entries or rows of their own
+    assert e.memo_sizes() == {"prefix": 15, "words": 1, "derive": 3,
+                              "weights": 5, "intern": 3, "facts": 12}
     # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
     plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
@@ -763,7 +806,9 @@ class _ReferenceEngine(Engine):
     """The engine's products term by term, as a reference for its kernel:
     every term of the peel and of the dodge goes through ``mul_prefix``
     (memoized, valid labels included) and ``accumulate``, with the weights
-    worked out per ``s``."""
+    worked out per ``s``.  The dodge is the recursive one that the closed
+    form replaced: it solves the vanishing gen⟨m⟩b for its s = 0 term, and a
+    term whose label m − s is still invalid dodges again."""
 
     def mul_prefix(self, gen, m, w):
         key = (gen, m, w)
@@ -838,7 +883,9 @@ class _ReferenceEngine(Engine):
 
 
 def _same_terms(got, want, what):
-    assert list(got.terms.items()) == list(want.terms.items()), what
+    # values and types, not dict order: the closed-form dodge lists its
+    # terms by first link, the recursive one by when they were met
+    assert got.terms == want.terms, what
     assert all(type(c) is int for c in got.terms.values()), what
 
 
@@ -860,8 +907,9 @@ def test_product_kernel_matches_reference(cache, check):
             return tuple(rng.randrange(b) for b in loc)
 
         def rand_label():
-            # valid or up to one past the bound, so the dodge runs too
-            return tuple(rng.randint(0, b) for b in loc)
+            # valid or up to three past the bound, so the dodge runs too,
+            # and closed-form rows with a = m_t − N_t + 1 ≥ 2 are compared
+            return tuple(rng.randint(0, b + 3) for b in loc)
 
         for _ in range(40):
             u, v, w = rand_word(2), rand_word(1), rand_word(1)
@@ -876,3 +924,33 @@ def test_product_kernel_matches_reference(cache, check):
             p = e.mul_poly(uv, mp, ConfPoly.from_word(w))
             _same_terms(p, ref.mul_poly(uv, mp, ConfPoly.from_word(w)), what)
             _same_terms(e.mul_prefix_poly(g, mv, p), ref.mul_prefix_poly(g, mv, p), what)
+
+
+@pytest.mark.parametrize("loc", [(2, 3), (2, 2, 2)], ids=["(2,3)", "(2,2,2)"])
+def test_closed_form_dodge_matches_recursive_reference(loc):
+    # the signatures that the normalize benchmark leaves out, where the
+    # recursive dodge cost most; both engines audit every product
+    rng = random.Random(20261020)
+    gens = ("a", "b")
+    sig = AlgebraSignature(len(loc), loc, gens)
+    e, ref = eng(sig), eng(sig, cls=_ReferenceEngine)
+
+    def rand_word(length):
+        links = tuple((rng.randrange(len(gens)), tuple(rng.randrange(b) for b in loc))
+                      for _ in range(length - 1))
+        return NormalWord(links, rng.randrange(len(gens)), tuple(rng.randint(0, 1) for _ in loc))
+
+    def rand_pushed():
+        # one coordinate at the bound or up to two past it
+        m = [rng.randrange(b) for b in loc]
+        t = rng.randrange(len(loc))
+        m[t] = loc[t] + rng.randint(0, 2)
+        return tuple(m)
+
+    for _ in range(300):
+        u, v, w = rand_word(rng.randint(1, 3)), rand_word(rng.randint(1, 3)), rand_word(3)
+        m, g = rand_pushed(), rng.randrange(len(gens))
+        what = (loc, u, m, v, w)
+        _same_terms(e.mul_words(u, m, v), ref.mul_words(u, m, v), what)
+        _same_terms(e.mul_prefix(g, m, w), ref.mul_prefix(g, m, w), what)
+    assert e.invariant_checks > 0 and ref.invariant_checks > 0

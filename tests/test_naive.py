@@ -19,10 +19,8 @@ from confgsb.words import (
     NormalWord,
     check_word,
     single_word,
-    tree_grade,
-    tree_is_dfree,
-    tree_leaves,
 )
+from helpers import tree_grade, tree_is_dfree, tree_leaves
 
 SIG1 = AlgebraSignature(n=1, locality=(2,), generators=("a",))
 SIG2 = AlgebraSignature(n=2, locality=(2, 2), generators=("a",))

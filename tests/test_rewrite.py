@@ -37,6 +37,7 @@ from confgsb.rewrite import (
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
+from helpers import word_gens
 
 SIG = AlgebraSignature(2, (2, 2), ("a",))
 ENG = Engine(SIG)
@@ -202,7 +203,7 @@ def overlap_tasks(system, i, j):
     holds the two equal."""
     ri, rj = system.rules[i], system.rules[j]
     fi, gj = ri.lead, rj.lead
-    fig, gjg = fi.gens(), gj.gens()
+    fig, gjg = word_gens(fi), word_gens(gj)
     lf, lg = fi.length, gj.length
     tasks = []
     # the j-pattern strictly inside the i-leading word, a link following it
@@ -518,11 +519,11 @@ def test_final_interreduction_reduces_each_element_once(monkeypatch):
 def _find_occurrences_by_scan(system, word, exclude=frozenset()):
     """Reference matcher: every rule tried at every position."""
     out = []
-    wg = word.gens()
+    wg = word_gens(word)
     for e, rule in enumerate(system.rules):
         if e in exclude:
             continue
-        lead, lg, L = rule.lead, rule.lead.gens(), rule.lead.length
+        lead, lg, L = rule.lead, word_gens(rule.lead), rule.lead.length
         if rule.dfree:
             for p in range(len(word.links) - L + 1):
                 if wg[p:p + L] == lg and all(
@@ -558,7 +559,7 @@ def _reduce_by_resort(system, p, exclude=frozenset(), rng=None):
             return remainder, steps
         word, occs = picked
         occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
-        coeff = remainder.coeff(word)
+        coeff = remainder.terms[word]
         remainder = remainder.add_scaled(system.build_sword(word, occ), -coeff)
         steps.append(TraceStep(word, occ, coeff))
 
