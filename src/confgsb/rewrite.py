@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 from operator import attrgetter, le
@@ -40,7 +40,7 @@ KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 # irreducible_words refuses once its tail exponents, visited prefixes and
 # listed words number more than this
-MAX_BASIS_CANDIDATES = 10 ** 7
+MAX_BASIS_CANDIDATES = 10 ** 6
 
 COMPLETE = "complete"
 BOUNDED_COMPLETE = "bounded-complete"
@@ -158,11 +158,17 @@ class GSBReport:
 
 @dataclass(frozen=True)
 class Rule:
-    """One monic relation of a rewriting system with its leading data."""
+    """One monic relation of a rewriting system with its leading data.
+
+    ``cores`` holds the S-word cores ``build_sword`` has built with their
+    leads, f<m'>v under ``(m', v)`` and D^dshift f under ``dshift``.  They
+    depend on ``poly`` and the signature alone; they are shared: do not mutate.
+    """
 
     poly: ConfPoly
     lead: NormalWord
     dfree: bool
+    cores: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _rule(p: ConfPoly) -> Rule:
@@ -273,26 +279,35 @@ class RewriteSystem:
         return out
 
     def build_sword(self, w: NormalWord, occ: Occurrence) -> ConfPoly:
-        """Engine-normalize the S-word that eliminates ``w`` via ``occ``.
+        """Engine-normalize the S-word that eliminates ``w`` via ``occ``: w's
+        first occ.pos links prepended to the rule's core f<m'>v or D^dshift f,
+        built once per rule.  The result may be that core: it is shared and
+        must not be mutated.
 
-        The result's leading term is exactly (w, 1); anything else would
-        break the well-order descent of reduction, so it raises.
+        Its leading term is exactly (w, 1); anything else would break the
+        well-order descent of reduction, so it raises RuntimeError.  A label
+        outside the locality box in w's prefix raises ValueError.
         """
-        eng = self.engine
-        rule = self.rules[occ.elem]
+        eng, rule, prefix = self.engine, self.rules[occ.elem], w.links[:occ.pos]
+        for _, m in prefix:
+            if m not in eng._valid:
+                raise ValueError(f"{w} is not a normal word: a label before {occ.pos} is not valid")
         if occ.second:
-            core = eng.derive_multi(occ.dshift, rule.poly)
+            key = occ.dshift
         else:
             j = occ.pos + rule.lead.length - 1
-            mprime = w.links[j][1]
-            v = NormalWord(w.links[j + 1:], w.tail, w.taild)
-            core = eng.mul_poly(rule.poly, mprime, ConfPoly.from_word(v))
-        for gen, m in reversed(w.links[:occ.pos]):
-            core = eng.mul_prefix_poly(gen, m, core)
-        if core.is_zero() or core.leading_term() != (w, 1):
+            key = (w.links[j][1], NormalWord(w.links[j + 1:], w.tail, w.taild))
+        hit = rule.cores.get(key)
+        if hit is None:
+            core = (eng.derive_multi(key, rule.poly) if occ.second
+                    else eng.mul_poly(rule.poly, key[0], ConfPoly.from_word(key[1])))
+            hit = rule.cores[key] = (core, core.leading_term() if core.terms else None)
+        core, lead = hit
+        # prepending keeps the word order: the S-word leads with prefix + the core's lead
+        if lead != ((w.links[occ.pos:], w.tail, w.taild), 1):
             raise RuntimeError(f"leading-word law violated: the S-word of {occ} does not "
                                f"lead with {w}")
-        return core
+        return eng._prepend(prefix, core) if prefix else core
 
     # -- reduction ----------------------------------------------------------
 
@@ -545,11 +560,6 @@ class RewriteSystem:
                                  f"length {n + 1} exceed the budget of {MAX_BASIS_CANDIDATES}")
         out.sort(key=NormalWord.weight_key)
         return out
-
-    def ideal_membership(self, p: ConfPoly) -> bool:
-        """Decide membership in the ideal; exact only after completion."""
-        remainder, _ = self.reduce(p)
-        return remainder.is_zero()
 
 
 def complete(engine: Engine, elements, *, max_degree: int | None = None,

@@ -466,7 +466,7 @@ def test_basis_refuses_a_huge_tail_box_before_building_it(completed):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert (proc.returncode, proc.stdout) == (65, "")
     assert proc.stderr == ("confgsb: error: 1000002000001 tail exponents exceed the budget "
-                           "of 10000000\n")
+                           "of 1000000\n")
 
 
 def test_basis_budget_counts_the_walk_not_all_normal_words(completed, capsys):

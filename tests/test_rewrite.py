@@ -117,6 +117,102 @@ def test_build_sword_suffix():
     assert sword == ConfPoly.from_word(target) - mono(taild=(1, 0))
 
 
+def test_build_sword_builds_each_core_once():
+    # F's lead a<0,0>a at position 1, under two prefixes: one core F<1,0>a
+    eng = Engine(SIG)
+    sys_f = RewriteSystem(eng, [F])
+    target = w((1, 0), (0, 0), (1, 0))
+    first = sys_f.build_sword(target, Occurrence(0, 1, False))
+    assert first == ConfPoly.from_word(target) - mono((1, 0), (1, 0))
+    assert list(sys_f.rules[0].cores) == [((1, 0), w())]
+    eng.mul_poly = eng.derive_multi = None  # a cached core asks the engine for nothing
+    assert sys_f.build_sword(target, Occurrence(0, 1, False)) == first
+    other = w((0, 1), (0, 0), (1, 0))
+    assert sys_f.build_sword(other, Occurrence(0, 1, False)) == \
+        ConfPoly.from_word(other) - mono((0, 1), (1, 0))
+    assert list(sys_f.rules[0].cores) == [((1, 0), w())]
+
+
+def test_build_sword_checks_the_law_on_cached_cores():
+    # a word that shares the core's key but not its lead raises, cached or not
+    sys_f = RewriteSystem(ENG, [F])
+    sys_f.build_sword(w((0, 0), (1, 0)), Occurrence(0, 0, False))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="leading-word law violated"):
+            sys_f.build_sword(w((1, 1), (1, 0)), Occurrence(0, 0, False))
+    with pytest.raises(RuntimeError, match="leading-word law violated"):
+        sys_f.build_sword(w((1, 1), (1, 0), taild=(1, 0)), Occurrence(0, 0, True, (0, 0)))
+
+
+def test_build_sword_rejects_an_invalid_prefix_label():
+    # the prefix is copied from w, so the law alone would pass a label outside the box
+    sys_f = RewriteSystem(ENG, [F])
+    sys_f.build_sword(w((1, 0), (0, 0), (1, 0)), Occurrence(0, 1, False))
+    for target, occ in ((w((2, 0), (0, 0), (1, 0)), Occurrence(0, 1, False)),
+                        (w((1, 0), (0, 3), (0, 0)), Occurrence(0, 2, True, (0, 0)))):
+        with pytest.raises(ValueError, match="is not a normal word"):
+            sys_f.build_sword(target, occ)
+
+
+@pytest.mark.parametrize("case, max_steps", [("idempotent33", 10_000), ("abelian", 800)])
+def test_traces_replay_in_systems_with_empty_caches(case, max_steps, monkeypatch):
+    # every reduction of a completion, interreduction included, replayed
+    # over the same elements in a new system on a new engine
+    eng, elements = _workload_inputs(case)
+    calls, reduce = [], RewriteSystem.reduce
+
+    def recorded_reduce(self, p, exclude=frozenset(), rng=None):
+        out = reduce(self, p, exclude, rng)
+        calls.append((self.elements, p, out))
+        return out
+
+    monkeypatch.setattr(RewriteSystem, "reduce", recorded_reduce)
+    complete(eng, elements, max_steps=max_steps)
+    monkeypatch.undo()
+    fresh = Engine(eng.sig)
+    assert sum(len(trace) for _, _, (_, trace) in calls) > 1000
+    for polys, p, (remainder, trace) in calls:
+        assert trace.replay(RewriteSystem(fresh, polys)) == p - remainder
+
+
+def test_interreduce_leaves_no_stale_core():
+    # interreduce rewrites G + a<0,0>a to G + a, with the same lead: the new
+    # rule builds its own cores, and the untouched F keeps its own
+    system = RewriteSystem(Engine(SIG), [F, G + mono((0, 0))])
+    target, occ = w((1, 0), (1, 0), (0, 0)), Occurrence(1, 0, False)
+    before = system.build_sword(target, occ)
+    out = system.interreduce()
+    assert out.rules[1].poly == G + mono() and out.rules[1].lead == system.rules[1].lead
+    assert out.rules[0] is system.rules[0] and out.rules[0].cores
+    after = out.build_sword(target, occ)
+    assert after == RewriteSystem(Engine(SIG), out.elements).build_sword(target, occ)
+    assert after != before
+
+
+def test_checked_engine_gives_the_same_swords():
+    # every S-word reducing the (3,3) compositions, built under check=True
+    system = _completed_idempotent33()
+    checked = RewriteSystem(Engine(system.sig, check=True), system.elements)
+    steps = [step for task in system.all_tasks()
+             for step in system.reduce(system.eval_composition(task))[1].steps]
+    assert len(steps) > 100
+    for step in steps + steps:  # the second pass reads the cores
+        got = checked.build_sword(step.word, step.occ)
+        assert list(got.terms.items()) == \
+            list(system.build_sword(step.word, step.occ).terms.items())
+    assert checked.engine.invariant_checks > 0
+
+
+def test_complete_engine_work_is_pinned(monkeypatch):
+    # each core is built once per rule: 702 mul_poly calls where building
+    # every S-word from scratch made 2754
+    calls, mul_poly = [], Engine.mul_poly
+    monkeypatch.setattr(Engine, "mul_poly", lambda self, *a: calls.append(a) or mul_poly(self, *a))
+    eng, elements = _workload_inputs("idempotent33")
+    system, status = complete(eng, elements)
+    assert (status, len(system), len(calls)) == (COMPLETE, 17, 702)
+
+
 # -- reduction ----------------------------------------------------------------
 
 
@@ -1180,13 +1276,18 @@ def test_irreducible_words_walk_reaches_long_words():
 
 
 def test_ideal_membership():
+    # after completion, a polynomial lies in the ideal iff it reduces to zero
     system, _ = complete(ENG, [F])
-    assert system.ideal_membership(F)
-    assert system.ideal_membership(ENG.derive(0, F))
-    assert system.ideal_membership(ENG.derive_multi((2, 1), G))
-    assert not system.ideal_membership(mono())
-    assert not system.ideal_membership(mono((1, 0)))
-    assert not system.ideal_membership(mono((0, 0)))
+
+    def member(p):
+        return system.reduce(p)[0].is_zero()
+
+    assert member(F)
+    assert member(ENG.derive(0, F))
+    assert member(ENG.derive_multi((2, 1), G))
+    assert not member(mono())
+    assert not member(mono((1, 0)))
+    assert not member(mono((0, 0)))
 
 
 def test_check_gsb_flags_incomplete_system():
@@ -1235,6 +1336,9 @@ for attempt in (lambda: short.mul_words(a, (0, 0), a),
                 lambda: outside.mul_words(a, (0, 0), a),
                 lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
                                         Occurrence(0, 0, False)),
+                # again, now that the rule's core is cached
+                lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
+                                        Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
                     1, wrong, KIND_RANK[RIGHT_INCLUSION], 0, 0, alpha=(0, 0), beta=(0, 0))),
                 lambda: small.all_tasks()):
@@ -1258,7 +1362,9 @@ for attempt in (lambda: RewriteSystem(eng, [ConfPoly.zero()]),
                 lambda: ConfPoly.zero().leading_term(),
                 lambda: index_sub((1, 0), (0, 1)),
                 lambda: falling_factorial(3, -1),
-                lambda: naive_normalize(eng.sig, [(1, "a")])):
+                lambda: naive_normalize(eng.sig, [(1, "a")]),
+                lambda: bad.build_sword(NormalWord(((0, (2, 0)), (0, (1, 0)), (0, (0, 1))), 0,
+                                                   (0, 0)), Occurrence(0, 1, False))):
     try:
         attempt()
     except ValueError as exc:
@@ -1270,23 +1376,24 @@ print(len(rejected), *rejected, sep="\\n")
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "21"
+    assert lines[0] == "23"
     assert lines[1].startswith("engine audit:") and "expected (2, (0, 0), True)" in lines[1]
     assert "is not a normal word" in lines[2]
-    assert all(line.startswith("leading-word law violated") for line in lines[3:5])
-    assert lines[5].startswith("bound boundary (left)")
-    assert "nonzero" in lines[6]
-    assert [line.split()[0] for line in lines[7:10]] == [
+    assert all(line.startswith("leading-word law violated") for line in lines[3:6])
+    assert lines[6].startswith("bound boundary (left)")
+    assert "nonzero" in lines[7]
+    assert [line.split()[0] for line in lines[8:11]] == [
         "max_degree", "max_elements", "max_steps"]
-    assert lines[10].startswith("locality")
-    assert lines[11].startswith("leaf generator 3")
-    assert "outside the validity box" in lines[12]
-    assert "not a derived generator" in lines[13]
-    assert "need i >= j" in lines[14]
-    assert "brace label" in lines[15]
-    assert "signature" in lines[16]
-    assert "Jacobi" in lines[17]
-    assert "zero polynomial" in lines[18]
-    assert "negative index difference" in lines[19]
-    assert "negative order" in lines[20]
-    assert "expected a Leaf or a Node" in lines[21]
+    assert lines[11].startswith("locality")
+    assert lines[12].startswith("leaf generator 3")
+    assert "outside the validity box" in lines[13]
+    assert "not a derived generator" in lines[14]
+    assert "need i >= j" in lines[15]
+    assert "brace label" in lines[16]
+    assert "signature" in lines[17]
+    assert "Jacobi" in lines[18]
+    assert "zero polynomial" in lines[19]
+    assert "negative index difference" in lines[20]
+    assert "negative order" in lines[21]
+    assert "expected a Leaf or a Node" in lines[22]
+    assert "is not a normal word: a label before 1" in lines[23]
