@@ -46,6 +46,8 @@ COMPLETE = "complete"
 BOUNDED_COMPLETE = "bounded-complete"
 LIMIT_REACHED = "limit-reached"
 
+_UNSEEN = object()  # a word reduce has no step for yet
+
 
 @dataclass(frozen=True)
 class Occurrence:
@@ -229,6 +231,7 @@ class RewriteSystem:
         self.sig = engine.sig
         self.rules: list[Rule] = []
         self._index = _LeadIndex([])
+        self._steps: dict = {}  # reduce's step at each word; emptied when rules change
         for p in elements:
             self._append(p)
 
@@ -244,6 +247,7 @@ class RewriteSystem:
         self.rules.append(rule)
         e = len(self.rules) - 1
         self._index.add(e, rule.lead)
+        self._steps.clear()
         return e
 
     # -- occurrence matching ------------------------------------------------
@@ -320,7 +324,14 @@ class RewriteSystem:
         one list of ``weight_key()`` pairs, ascending, and are popped from
         its end, each once: an S-word adds only words below the one it
         eliminates, so a popped word that is irreducible stays so.
+
+        A table maps each word met to the step taken there, its first
+        occurrence and S-word, or None if it is irreducible, so a word met
+        again skips ``find_occurrences`` and ``build_sword``.  With ``rng``
+        None and nothing excluded the table is the system's own and lasts
+        until the rules change; otherwise it lasts for this call only.
         """
+        table = self._steps if rng is None and not exclude else {}
         terms = dict(p.terms)
         pending = sorted(map(NormalWord.weight_key, terms))
         queued = set(terms)
@@ -330,11 +341,18 @@ class RewriteSystem:
             coeff = terms.get(w)
             if coeff is None:
                 continue
-            occs = self.find_occurrences(w, exclude)
-            if not occs:
+            step = table.get(w, _UNSEEN)
+            if step is _UNSEEN:
+                occs = self.find_occurrences(w, exclude)
+                if occs:
+                    occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
+                    step = (occ, self.build_sword(w, occ))
+                else:
+                    step = None
+                table[w] = step
+            if step is None:
                 continue
-            occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
-            sword = self.build_sword(w, occ)
+            occ, sword = step
             accumulate(terms, sword.terms, -coeff)
             for u in sword.terms:
                 if u not in queued:
@@ -506,10 +524,12 @@ class RewriteSystem:
             if r.is_zero():
                 del rules[i]
                 out._index = _LeadIndex(rules)  # the index holds rule positions
+                out._steps.clear()
                 continue
             r = r.monic()
             if r != rule.poly:
                 rules[i] = new = _rule(r)
+                out._steps.clear()
                 if new.lead != rule.lead or new.dfree and not rule.dfree:
                     out._index = _LeadIndex(rules)
                     i = 0
@@ -529,11 +549,16 @@ class RewriteSystem:
         tail exponent at most d.  Raises ValueError once the tail exponents,
         the prefixes visited and the words listed number more than
         ``MAX_BASIS_CANDIDATES``; the tail exponents are counted before the
-        walk builds them.
+        walk builds them.  A ``max_length`` below 1, or a ``max_taild`` that
+        is not n nonnegative integers, raises ValueError.
         """
         sig = self.sig
         if max_taild is None:
             max_taild = zero_index(sig.n)
+        if max_length < 1:
+            raise ValueError(f"max_length must be at least 1, got {max_length}")
+        if len(max_taild) != sig.n or any(b < 0 for b in max_taild):
+            raise ValueError(f"max_taild must be {sig.n} nonnegative integers, got {max_taild}")
         count = prod(b + 1 for b in max_taild)
         if count > MAX_BASIS_CANDIDATES:
             raise ValueError(f"{count} tail exponents exceed the budget of {MAX_BASIS_CANDIDATES}")

@@ -29,6 +29,7 @@ from confgsb.rewrite import (
     RIGHT_MUL,
     CompositionTask,
     Occurrence,
+    ReductionTrace,
     RewriteSystem,
     TraceStep,
     _intersection,
@@ -673,6 +674,23 @@ def _count_lookups(system):
     return looked_up
 
 
+class _RecordedTable(dict):
+    """A step table that appends each word ``reduce`` finds in it to
+    ``visited``, the list ``_count_lookups`` appends the looked-up words to,
+    and counts them in ``hits``."""
+
+    def __init__(self, table, visited):
+        super().__init__(table)
+        self.visited = visited
+        self.hits = 0
+
+    def get(self, word, default=None):
+        if word in self:
+            self.visited.append(word)
+            self.hits += 1
+        return super().get(word, default)
+
+
 def _seeded_words(system, rng, count):
     """Random words of the system's signature, half of them built around a
     rule's leading word so that matches are frequent."""
@@ -727,22 +745,28 @@ def _assert_matches_references(system, seed, count=60):
             assert got == _find_occurrences_by_scan(system, word, exclude), (word, exclude)
             hits += bool(got)
     assert hits  # the seeded words do meet the leading words
+    reused = 0
     for k in range(count // 4):
         p = _seeded_poly(words, rng)
         exclude = excludes[k % len(excludes)]
-        for choice in (None, k):
-            looked_up = _count_lookups(system)
+        # with nothing excluded, the second plain call finds every word in the step table
+        for choice in (None, None, k):
+            visited = _count_lookups(system)
+            system._steps = _RecordedTable(system._steps, visited)
             remainder, trace = system.reduce(
                 p, exclude, rng=None if choice is None else random.Random(choice))
-            heap_lookups = list(looked_up)
-            looked_up.clear()
+            reused += system._steps.hits
+            del system.find_occurrences
+            looked_up = _count_lookups(system)
             ref_remainder, ref_steps = _reduce_by_resort(
                 system, p, exclude, rng=None if choice is None else random.Random(choice))
             del system.find_occurrences
             assert remainder == ref_remainder
             assert list(remainder.terms) == list(ref_remainder.terms)
             assert list(trace.steps) == ref_steps
-            assert heap_lookups == looked_up
+            # the words visited, looked up or found in the table, in the reference's order
+            assert visited == looked_up
+    assert reused
 
 
 def _completed_idempotent33():
@@ -786,6 +810,93 @@ def test_index_follows_interreduce_deletions_and_replacements():
     assert len(reduced) == len(relations)  # the doubled copies are deleted
     assert reduced.elements != RewriteSystem(eng, relations).elements  # replacements
     _assert_matches_references(reduced, seed=8)
+
+
+# -- the step table of reduce -------------------------------------------------
+
+
+def _reduce_afresh(system, p):
+    """``system.reduce(p)`` from an empty step table, which it leaves empty."""
+    table, system._steps = system._steps, {}
+    out = system.reduce(p)
+    system._steps = table
+    return out
+
+
+def _assert_same_reduction(got, want):
+    assert got == want  # the remainder and the trace
+    assert list(got[0].terms) == list(want[0].terms)
+
+
+def test_step_table_repeats_every_reduction_of_the_completed_idempotent33_system():
+    system = _completed_idempotent33()
+    reference = RewriteSystem(system.engine, system.elements)
+    for task in system.all_tasks():
+        p = system.eval_composition(task)
+        want = _reduce_afresh(reference, p)
+        _assert_same_reduction(system.reduce(p), want)
+        _assert_same_reduction(system.reduce(p), want)  # every word from the table
+    assert system._steps and not reference._steps
+
+
+def test_step_table_is_emptied_by_append():
+    system = RewriteSystem(ENG, [F])
+    word = mono((1, 0), (1, 0))  # irreducible by F
+    assert system.reduce(word) == (word, ReductionTrace(()))
+    step = TraceStep(w((0, 0)), Occurrence(0, 0, True, (0, 0)), 1)
+    assert system.reduce(F) == (ConfPoly.zero(), ReductionTrace((step,)))
+    system._append(mono((1, 0)) - mono())
+    remainder, trace = system.reduce(word)
+    assert remainder != word and trace.steps[0].word == word.leading_word()
+    for p in (word, F, mono((1, 0), (0, 0))):
+        _assert_same_reduction(system.reduce(p), _reduce_afresh(system, p))
+
+
+def test_step_table_does_not_leak_through_interreduce():
+    system = RewriteSystem(ENG, [F, F + G, G, H + mono((0, 0)), P - 2 * F, S])
+    probes = system.elements + [mono((0, 1), (0, 1), (1, 0)), mono((1, 1), (1, 0), (0, 0)),
+                                mono((0, 0), (1, 0), (1, 0), taild=(1, 0))]
+    before = [system.reduce(p) for p in probes]
+    reduced = system.interreduce()
+    assert not reduced._steps
+    after = [reduced.reduce(p) for p in probes]
+    assert after != before  # the replacements change some traces
+    for p, got in zip(probes, after):
+        _assert_same_reduction(got, _reduce_afresh(reduced, p))
+    # nor from the copy back into the input
+    for p, got in zip(probes, before):
+        _assert_same_reduction(system.reduce(p), got)
+        _assert_same_reduction(got, _reduce_afresh(system, p))
+
+
+def test_step_table_is_neither_read_nor_filled_under_rng_or_exclude():
+    system = golden_system()
+    p = mono((0, 0), (0, 0), (1, 0), (1, 0)) + mono((1, 1), (1, 0), (0, 0))
+    plain = system.reduce(p)
+    table = dict(system._steps)
+    first = plain[1].steps[0].occ.elem
+    got = system.reduce(p, frozenset((first,)))
+    assert got[1] != plain[1]
+    assert (got[0], list(got[1].steps)) == _reduce_by_resort(system, p, frozenset((first,)))
+    picks = set()
+    for seed in range(5):
+        got = system.reduce(p, rng=random.Random(seed))
+        assert (got[0], list(got[1].steps)) == _reduce_by_resort(system, p, rng=random.Random(seed))
+        picks.add(got[1])
+    assert len(picks) > 1 and system._steps == table
+
+
+def test_check_gsb_work_is_pinned(monkeypatch):
+    # the step table: without it 3,643 find_occurrences and 4,269 build_sword calls
+    system = _completed_idempotent33()
+    counts = Counter()
+    for name in ("find_occurrences", "build_sword"):
+        def counted(self, *args, _name=name, _method=getattr(RewriteSystem, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(RewriteSystem, name, counted)
+    assert system.check_gsb().is_gsb
+    assert counts == {"find_occurrences": 1573, "build_sword": 2199}
 
 
 # -- the index-driven task generator and queue against the per-pair loop --------
@@ -1273,6 +1384,13 @@ def test_irreducible_words_walk_reaches_long_words():
     system.find_occurrences = None
     words = system.irreducible_words(12)
     assert len(words) == 44 and words[-1].length == 12
+
+
+@pytest.mark.parametrize("max_length, max_taild", [
+    (0, None), (-3, None), (1, (1,)), (2, (1, 0, 5)), (1, (-1, -1)), (2, (0, -1))])
+def test_irreducible_words_rejects_bounds_it_cannot_handle(max_length, max_taild):
+    with pytest.raises(ValueError, match="max_length|max_taild"):
+        golden_system().irreducible_words(max_length, max_taild)
 
 
 def test_ideal_membership():
