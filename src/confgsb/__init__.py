@@ -7,13 +7,11 @@ entry points imported below, and the submodules. See the README for a tour.
 
 from .indices import (
     MultiIndex,
-    binom_multi,
     falling_factorial,
     index_add,
     index_pos_part,
     index_sub,
     is_valid_index,
-    iter_below,
     iter_box,
     sign_of,
     unit_index,

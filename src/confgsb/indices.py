@@ -2,8 +2,8 @@
 
 A multi-index is a tuple of n nonnegative integers.  Everything downstream
 (word labels, derivation exponents, locality bounds) is built on these, so the
-helpers here are deliberately small and total: componentwise binomials, signs,
-falling factorials, and validity against a locality bound.  All arithmetic is
+helpers here are deliberately small and total: signs, factorials, falling
+factorials, and validity against a locality bound.  All arithmetic is
 arbitrary-precision by construction (Python ints).
 """
 
@@ -13,20 +13,6 @@ import math
 from itertools import product
 
 MultiIndex = tuple[int, ...]
-
-
-def binom_multi(m: MultiIndex, s: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients C(m_t, s_t).
-
-    Zero as soon as any s_t > m_t, which is what cuts every infinite sum in
-    the multiplication formulas down to finitely many terms.
-    """
-    out = 1
-    for mt, st in zip(m, s, strict=True):
-        if st > mt:
-            return 0
-        out *= math.comb(mt, st)
-    return out
 
 
 def falling_factorial(m: int, i: int) -> int:
@@ -89,11 +75,6 @@ def zero_index(n: int) -> MultiIndex:
 def iter_box(bounds: MultiIndex):
     """All multi-indices m with 0 <= m_t < bounds_t, ascending lex order."""
     yield from product(*(range(b) for b in bounds))
-
-
-def iter_below(m: MultiIndex):
-    """All s with 0 <= s <= m componentwise (the support of C(m, s))."""
-    yield from product(*(range(mt + 1) for mt in m))
 
 
 def factorial_multi(s: MultiIndex) -> int:

@@ -198,7 +198,7 @@ class _LeadIndex:
     a new lead and only matches.
     """
 
-    def __init__(self, rules: list[Rule]):
+    def __init__(self, rules: tuple[Rule, ...]):
         self.leads: dict[tuple, list[int]] = {}
         self.lengths: list[int] = []
         self.segments: dict[tuple, list[tuple[int, int]]] = {}
@@ -224,13 +224,14 @@ class _LeadIndex:
 
 
 class RewriteSystem:
-    """A sequence of monic nonzero relation polynomials, one Rule each."""
+    """A sequence of monic nonzero relation polynomials, one Rule each, in
+    the tuple ``rules``: only ``_append`` and ``interreduce`` write it."""
 
     def __init__(self, engine: Engine, elements=()):
         self.engine = engine
         self.sig = engine.sig
-        self.rules: list[Rule] = []
-        self._index = _LeadIndex([])
+        self.rules: tuple[Rule, ...] = ()
+        self._index = _LeadIndex(())
         self._steps: dict = {}  # reduce's step at each word; emptied when rules change
         for p in elements:
             self._append(p)
@@ -244,7 +245,7 @@ class RewriteSystem:
 
     def _append(self, p: ConfPoly) -> int:
         rule = _rule(p)
-        self.rules.append(rule)
+        self.rules += (rule,)
         e = len(self.rules) - 1
         self._index.add(e, rule.lead)
         self._steps.clear()
@@ -252,7 +253,7 @@ class RewriteSystem:
 
     # -- occurrence matching ------------------------------------------------
 
-    def find_occurrences(self, w: NormalWord, exclude: frozenset[int] = frozenset()) -> list[Occurrence]:
+    def find_occurrences(self, w: NormalWord) -> list[Occurrence]:
         """All pattern matches in ``w``, ordered by (position, kind, element).
 
         Each candidate segment of ``w`` is looked up in the leading-word
@@ -268,14 +269,12 @@ class RewriteSystem:
             # interior matches of D-free leads: a link must follow the segment
             for p in range(nlinks - L + 1):
                 for e in index.leads.get((links[p:p + L - 1], links[p + L - 1][0]), ()):
-                    if rules[e].dfree and e not in exclude:
+                    if rules[e].dfree:
                         out.append(Occurrence(e, p, False))
             p = nlinks + 1 - L
             if p < 0:
                 break
             for e in index.leads.get((links[p:], w.tail), ()):
-                if e in exclude:
-                    continue
                 dshift = tuple(a - b for a, b in zip(w.taild, rules[e].lead.taild))
                 if all(c >= 0 for c in dshift):
                     out.append(Occurrence(e, p, True, dshift))
@@ -315,23 +314,21 @@ class RewriteSystem:
 
     # -- reduction ----------------------------------------------------------
 
-    def reduce(self, p: ConfPoly, exclude: frozenset[int] = frozenset(), rng=None):
+    def reduce(self, p: ConfPoly):
         """Eliminate occurrences until none remain; return (remainder, trace).
 
         Targets the greatest reducible word each round and its first
-        occurrence (leftmost position); pass ``rng`` to randomize the
-        choice among a word's occurrences instead.  Pending words sit in
-        one list of ``weight_key()`` pairs, ascending, and are popped from
-        its end, each once: an S-word adds only words below the one it
-        eliminates, so a popped word that is irreducible stays so.
+        occurrence (leftmost position).  Pending words sit in one list of
+        ``weight_key()`` pairs, ascending, and are popped from its end, each
+        once: an S-word adds only words below the one it eliminates, so a
+        popped word that is irreducible stays so.
 
-        A table maps each word met to the step taken there, its first
-        occurrence and S-word, or None if it is irreducible, so a word met
-        again skips ``find_occurrences`` and ``build_sword``.  With ``rng``
-        None and nothing excluded the table is the system's own and lasts
-        until the rules change; otherwise it lasts for this call only.
+        The system's step table maps each word met to the step taken there,
+        its first occurrence and S-word, or None if it is irreducible, so a
+        word met again skips ``find_occurrences`` and ``build_sword``.  The
+        table lasts until the rules change.
         """
-        table = self._steps if rng is None and not exclude else {}
+        table = self._steps
         terms = dict(p.terms)
         pending = sorted(map(NormalWord.weight_key, terms))
         queued = set(terms)
@@ -343,13 +340,8 @@ class RewriteSystem:
                 continue
             step = table.get(w, _UNSEEN)
             if step is _UNSEEN:
-                occs = self.find_occurrences(w, exclude)
-                if occs:
-                    occ = occs[0] if rng is None else occs[rng.randrange(len(occs))]
-                    step = (occ, self.build_sword(w, occ))
-                else:
-                    step = None
-                table[w] = step
+                occs = self.find_occurrences(w)
+                step = table[w] = (occs[0], self.build_sword(w, occs[0])) if occs else None
             if step is None:
                 continue
             occ, sword = step
@@ -513,25 +505,32 @@ class RewriteSystem:
         """A copy with each element reduced against the others until nothing
         changes.  Matching reads only leads and D-freeness, so the sweep goes
         back to the first element only when a change gives an element a new
-        lead or makes it D-free; other changes leave earlier ones irreducible."""
+        lead or makes it D-free; other changes leave earlier ones irreducible.
+        Rule i matches no word below its lead: a longer word is greater, and
+        one of its length that holds the lead is the lead with a tail
+        exponent at or above its own.  So with the step at the lead set to
+        another rule's first occurrence there, ``reduce`` reduces rule i."""
         out = RewriteSystem(self.engine)
-        rules = out.rules = list(self.rules)
-        out._index = _LeadIndex(rules)
+        out.rules, out._index = self.rules, _LeadIndex(self.rules)
         i = 0
-        while i < len(rules):
-            rule = rules[i]
-            r, _ = out.reduce(rule.poly, exclude=frozenset((i,)))
+        while i < len(out.rules):
+            rule = out.rules[i]
+            occ = next((o for o in out.find_occurrences(rule.lead) if o.elem != i), None)
+            out._steps[rule.lead] = None if occ is None else (occ, out.build_sword(rule.lead, occ))
+            r, _ = out.reduce(rule.poly)
+            del out._steps[rule.lead]
             if r.is_zero():
-                del rules[i]
-                out._index = _LeadIndex(rules)  # the index holds rule positions
+                out.rules = out.rules[:i] + out.rules[i + 1:]
+                out._index = _LeadIndex(out.rules)  # the index holds rule positions
                 out._steps.clear()
                 continue
             r = r.monic()
             if r != rule.poly:
-                rules[i] = new = _rule(r)
+                new = _rule(r)
+                out.rules = out.rules[:i] + (new,) + out.rules[i + 1:]
                 out._steps.clear()
                 if new.lead != rule.lead or new.dfree and not rule.dfree:
-                    out._index = _LeadIndex(rules)
+                    out._index = _LeadIndex(out.rules)
                     i = 0
                     continue
             i += 1

@@ -1,6 +1,11 @@
 """Measures that only the tests use: the leaf count, grade and D-freeness
-of an expression tree, and the generator sequence of a normal word."""
+of an expression tree, the generator sequence of a normal word, and the
+componentwise binomial C(m, s) with its support."""
 
+import math
+from itertools import product
+
+from confgsb.indices import MultiIndex
 from confgsb.words import ExprTree, Leaf, NormalWord
 
 
@@ -30,3 +35,22 @@ def tree_is_dfree(tree: ExprTree) -> bool:
 def word_gens(w: NormalWord) -> tuple[int, ...]:
     """The generators of w, its links' and then its tail."""
     return tuple(g for g, _ in w.links) + (w.tail,)
+
+
+def binom_multi(m: MultiIndex, s: MultiIndex) -> int:
+    """Product of componentwise binomial coefficients C(m_t, s_t).
+
+    Zero as soon as any s_t > m_t, which is what cuts every infinite sum in
+    the multiplication formulas down to finitely many terms.
+    """
+    out = 1
+    for mt, st in zip(m, s, strict=True):
+        if st > mt:
+            return 0
+        out *= math.comb(mt, st)
+    return out
+
+
+def iter_below(m: MultiIndex):
+    """All s with 0 <= s <= m componentwise (the support of C(m, s))."""
+    yield from product(*(range(mt + 1) for mt in m))

@@ -40,10 +40,8 @@ from confgsb.envelope import (
     validate_lie,
 )
 from confgsb.indices import (
-    binom_multi,
     index_add,
     index_sub,
-    iter_below,
     iter_box,
     sign_of,
     unit_index,
@@ -60,6 +58,7 @@ from confgsb.words import (
     compare_words,
     single_word,
 )
+from helpers import binom_multi, iter_below
 
 # -- shared audited machinery ----------------------------------------------------
 

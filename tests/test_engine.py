@@ -18,11 +18,9 @@ from hypothesis import given, settings, strategies as st
 from confgsb.engine import Engine
 from confgsb.envelope import enveloping_presentation, lie_algebra, lie_conformal, loop_conformal
 from confgsb.indices import (
-    binom_multi,
     falling_factorial,
     index_add,
     index_sub,
-    iter_below,
     iter_box,
     sign_of,
     unit_index,
@@ -38,7 +36,7 @@ from confgsb.words import (
     accumulate,
     single_word,
 )
-from helpers import tree_grade, tree_is_dfree, tree_leaves
+from helpers import binom_multi, iter_below, tree_grade, tree_is_dfree, tree_leaves
 
 SIG2 = AlgebraSignature(n=2, locality=(2, 2), generators=("a",))
 A = single_word(0, 2)

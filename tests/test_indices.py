@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confgsb.indices import (
-    binom_multi,
     factorial_multi,
     falling_factorial,
     index_add,
     index_pos_part,
     index_sub,
     is_valid_index,
-    iter_below,
     iter_box,
     sign_of,
     unit_index,
     zero_index,
 )
+from helpers import binom_multi, iter_below
 
 small_index = st.tuples(st.integers(0, 6), st.integers(0, 6))
 

@@ -35,6 +35,7 @@ from confgsb.rewrite import (
     _intersection,
     _LeadIndex,
     _right_inclusion,
+    _rule,
     complete,
 )
 from confgsb.words import AlgebraSignature, ConfPoly, NormalWord, compare_words, single_word
@@ -162,8 +163,8 @@ def test_traces_replay_in_systems_with_empty_caches(case, max_steps, monkeypatch
     eng, elements = _workload_inputs(case)
     calls, reduce = [], RewriteSystem.reduce
 
-    def recorded_reduce(self, p, exclude=frozenset(), rng=None):
-        out = reduce(self, p, exclude, rng)
+    def recorded_reduce(self, p):
+        out = reduce(self, p)
         calls.append((self.elements, p, out))
         return out
 
@@ -234,13 +235,6 @@ def test_reduce_element_to_zero():
     assert len(trace) == 1
 
 
-def test_reduce_exclude_blocks_element():
-    sys_f = RewriteSystem(ENG, [F])
-    remainder, trace = sys_f.reduce(F, exclude=frozenset({0}))
-    assert remainder == F
-    assert len(trace) == 0
-
-
 def test_trace_words_strictly_descend():
     system = golden_system()
     start = ConfPoly.from_word(w((0, 0), (0, 0), (0, 0))) + mono((0, 0), c=3)
@@ -281,7 +275,7 @@ def test_reduction_confluent_on_completed_system():
         p = random_poly(rng)
         base, _ = system.reduce(p)
         for seed in range(3):
-            alt, _ = system.reduce(p, rng=random.Random(seed))
+            alt, _ = _reduce_by_resort(system, p, rng=random.Random(seed))
             assert alt == base
 
 
@@ -533,7 +527,8 @@ def _abelian_envelope_relations():
 
 def _record_interreduce(monkeypatch):
     """Record each interreduce's input elements and, for each reduce call
-    it makes, the position it excludes and the number of elements then."""
+    it makes, the position of the rule it reduces and the number of
+    elements then."""
     runs = []
     interreduce, reduce = RewriteSystem.interreduce, RewriteSystem.reduce
 
@@ -541,10 +536,13 @@ def _record_interreduce(monkeypatch):
         runs.append((self.elements, []))
         return interreduce(self)
 
-    def recorded_reduce(self, p, exclude=frozenset(), rng=None):
-        if exclude:  # only interreduce excludes an element
-            runs[-1][1].append((min(exclude), len(self)))
-        return reduce(self, p, exclude, rng)
+    def recorded_reduce(self, p):
+        # interreduce reduces a rule's own polynomial: found by identity, as
+        # a doubled copy is an equal polynomial
+        i = next((e for e, rule in enumerate(self.rules) if rule.poly is p), None)
+        if i is not None:
+            runs[-1][1].append((i, len(self)))
+        return reduce(self, p)
 
     monkeypatch.setattr(RewriteSystem, "interreduce", recorded_interreduce)
     monkeypatch.setattr(RewriteSystem, "reduce", recorded_reduce)
@@ -613,13 +611,11 @@ def test_final_interreduction_reduces_each_element_once(monkeypatch):
 # -- the leading-word index and the heap reduction against references ----------
 
 
-def _find_occurrences_by_scan(system, word, exclude=frozenset()):
+def _find_occurrences_by_scan(system, word):
     """Reference matcher: every rule tried at every position."""
     out = []
     wg = word_gens(word)
     for e, rule in enumerate(system.rules):
-        if e in exclude:
-            continue
         lead, lg, L = rule.lead, word_gens(rule.lead), rule.lead.length
         if rule.dfree:
             for p in range(len(word.links) - L + 1):
@@ -636,7 +632,7 @@ def _find_occurrences_by_scan(system, word, exclude=frozenset()):
     return out
 
 
-def _reduce_by_resort(system, p, exclude=frozenset(), rng=None):
+def _reduce_by_resort(system, p, rng=None):
     """Reference reduction: every round re-sorts all terms and targets the
     greatest word not yet found irreducible."""
     remainder = p
@@ -647,7 +643,7 @@ def _reduce_by_resort(system, p, exclude=frozenset(), rng=None):
         for word in sorted(remainder.terms, key=NormalWord.weight_key, reverse=True):
             if word in irreducible:
                 continue
-            occs = system.find_occurrences(word, exclude)
+            occs = system.find_occurrences(word)
             if occs:
                 picked = (word, occs)
                 break
@@ -666,9 +662,9 @@ def _count_lookups(system):
     looked_up = []
     find = system.find_occurrences
 
-    def counted(word, exclude=frozenset()):
+    def counted(word):
         looked_up.append(word)
-        return find(word, exclude)
+        return find(word)
 
     system.find_occurrences = counted
     return looked_up
@@ -735,31 +731,24 @@ def _seeded_poly(words, rng):
 def _assert_matches_references(system, seed, count=60):
     rng = random.Random(seed)
     words = _seeded_words(system, rng, count)
-    size = len(system)
-    excludes = [frozenset(), frozenset(rng.sample(range(size), min(size, 3))),
-                frozenset(range(0, size, 2))]
     hits = 0
     for word in words:
-        for exclude in excludes:
-            got = system.find_occurrences(word, exclude)
-            assert got == _find_occurrences_by_scan(system, word, exclude), (word, exclude)
-            hits += bool(got)
+        got = system.find_occurrences(word)
+        assert got == _find_occurrences_by_scan(system, word), word
+        hits += bool(got)
     assert hits  # the seeded words do meet the leading words
     reused = 0
-    for k in range(count // 4):
+    for _ in range(count // 4):
         p = _seeded_poly(words, rng)
-        exclude = excludes[k % len(excludes)]
-        # with nothing excluded, the second plain call finds every word in the step table
-        for choice in (None, None, k):
+        # the second call finds every word in the step table
+        for _ in range(2):
             visited = _count_lookups(system)
             system._steps = _RecordedTable(system._steps, visited)
-            remainder, trace = system.reduce(
-                p, exclude, rng=None if choice is None else random.Random(choice))
+            remainder, trace = system.reduce(p)
             reused += system._steps.hits
             del system.find_occurrences
             looked_up = _count_lookups(system)
-            ref_remainder, ref_steps = _reduce_by_resort(
-                system, p, exclude, rng=None if choice is None else random.Random(choice))
+            ref_remainder, ref_steps = _reduce_by_resort(system, p)
             del system.find_occurrences
             assert remainder == ref_remainder
             assert list(remainder.terms) == list(ref_remainder.terms)
@@ -828,6 +817,16 @@ def _assert_same_reduction(got, want):
     assert list(got[0].terms) == list(want[0].terms)
 
 
+def _assert_steps_match_a_new_system(system):
+    """Each entry of the step table is the step that a new system over the
+    same elements finds at its word: the first occurrence and its S-word,
+    or None."""
+    fresh = RewriteSystem(Engine(system.sig), system.elements)
+    for word, step in system._steps.items():
+        occs = fresh.find_occurrences(word)
+        assert step == ((occs[0], fresh.build_sword(word, occs[0])) if occs else None), word
+
+
 def test_step_table_repeats_every_reduction_of_the_completed_idempotent33_system():
     system = _completed_idempotent33()
     reference = RewriteSystem(system.engine, system.elements)
@@ -858,7 +857,7 @@ def test_step_table_does_not_leak_through_interreduce():
                                 mono((0, 0), (1, 0), (1, 0), taild=(1, 0))]
     before = [system.reduce(p) for p in probes]
     reduced = system.interreduce()
-    assert not reduced._steps
+    _assert_steps_match_a_new_system(reduced)
     after = [reduced.reduce(p) for p in probes]
     assert after != before  # the replacements change some traces
     for p, got in zip(probes, after):
@@ -869,21 +868,47 @@ def test_step_table_does_not_leak_through_interreduce():
         _assert_same_reduction(got, _reduce_afresh(system, p))
 
 
-def test_step_table_is_neither_read_nor_filled_under_rng_or_exclude():
-    system = golden_system()
-    p = mono((0, 0), (0, 0), (1, 0), (1, 0)) + mono((1, 1), (1, 0), (0, 0))
-    plain = system.reduce(p)
-    table = dict(system._steps)
-    first = plain[1].steps[0].occ.elem
-    got = system.reduce(p, frozenset((first,)))
-    assert got[1] != plain[1]
-    assert (got[0], list(got[1].steps)) == _reduce_by_resort(system, p, frozenset((first,)))
-    picks = set()
-    for seed in range(5):
-        got = system.reduce(p, rng=random.Random(seed))
-        assert (got[0], list(got[1].steps)) == _reduce_by_resort(system, p, rng=random.Random(seed))
-        picks.add(got[1])
-    assert len(picks) > 1 and system._steps == table
+def test_interreduce_leaves_only_steps_of_its_rules():
+    # interreduce's reductions fill the copy's table; each entry is a step
+    # of the rules the copy holds, none of the rules it deleted or replaced
+    reduced = RewriteSystem(*_abelian_envelope_relations()).interreduce()
+    assert len(reduced._steps) == 36
+    _assert_steps_match_a_new_system(reduced)
+
+
+def test_rules_are_written_only_by_the_system():
+    # a rule replaced in place left the index and the step table describing
+    # the old one, and reduce gave 0 where a new system over the rules gives a
+    system = RewriteSystem(ENG, [F, G])
+    word = mono((1, 0), (1, 0))
+    assert system.reduce(word)[0].is_zero()
+    with pytest.raises(TypeError):
+        system.rules[1] = _rule(G - mono())
+    assert system.elements == [F, G]
+    _assert_same_reduction(system.reduce(word), _reduce_afresh(RewriteSystem(ENG, [F, G]), word))
+
+
+def test_final_interreduction_lookups_are_pinned(monkeypatch):
+    # the last interreduce of the abelian completion looks up each rule's
+    # lead once and shares the step table across its reductions: 364 calls,
+    # where a reduction that excluded the rule it reduced made 388
+    eng, elements = _workload_inputs("abelian")
+    counts, interreduce = [], RewriteSystem.interreduce
+    find = RewriteSystem.find_occurrences
+
+    def recorded_interreduce(self):
+        counts.append(0)
+        return interreduce(self)
+
+    def counted(self, word):
+        if counts:  # complete's last call is its interreduce
+            counts[-1] += 1
+        return find(self, word)
+
+    monkeypatch.setattr(RewriteSystem, "interreduce", recorded_interreduce)
+    monkeypatch.setattr(RewriteSystem, "find_occurrences", counted)
+    complete(eng, elements, max_steps=800)
+    assert counts[-1] == 364
 
 
 def test_check_gsb_work_is_pinned(monkeypatch):
@@ -1438,7 +1463,7 @@ a = single_word(0, 2)
 f = ConfPoly.from_word(NormalWord(((0, (0, 0)),), 0, (0, 0))) - ConfPoly.from_word(a)
 bad = RewriteSystem(eng, [f])
 wrong = NormalWord(((0, (1, 0)),), 0, (0, 0))
-bad.rules[0] = Rule(f, wrong, True)
+bad.rules = (Rule(f, wrong, True),)
 # an audited system whose label bounds are too small for its products to vanish
 small = RewriteSystem(Engine(AlgebraSignature(2, (2, 2), ("a",)), check=True), [f])
 small.multiplication_bounds = lambda p: (1, 1)
