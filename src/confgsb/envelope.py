@@ -4,16 +4,17 @@ A Lie conformal structure is given by a multiplication table over the
 generators; its universal enveloping associative algebra is presented by
 relations a_i<m> a_j - {a_j<m> a_i} - table(i, j, m), where {.} is the
 brace (skew) transform.  Loop algebras embed an ordinary Lie algebra at
-locality (1, ..., 1).  The half-PBW check reduces the mixed compositions
-s_ij<m'> a_k - a_i<m> s_jk against the presentation and reports any
-nonzero remainders; they prove an invalid table only when the presentation
-is D-free.
+locality (1, ..., 1).  The half-PBW check reduces the presentation's
+intersection compositions s_ij<m'> a_k - a_i<m> s_jk against it and
+reports nonzero remainders, which prove an invalid table only when the
+presentation is D-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .engine import Engine
 from .indices import (
@@ -25,7 +26,7 @@ from .indices import (
     sign_of,
     zero_index,
 )
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, _intersection
 from .words import AlgebraSignature, ConfPoly, NormalWord, accumulate, exact, single_word
 
 
@@ -162,7 +163,7 @@ def brace(engine: Engine, gen: int, m: MultiIndex, p: ConfPoly) -> ConfPoly:
 def commutator(engine: Engine, i: int, m: MultiIndex, j: int) -> ConfPoly:
     """a_i<m> a_j - {a_j<m> a_i}: the conformal commutator of two generators."""
     n = engine.sig.n
-    head = ConfPoly.from_word(NormalWord(((i, m),), j, zero_index(n)))
+    head = engine.mul_prefix(i, m, single_word(j, n))
     return head - brace(engine, j, m, ConfPoly.from_word(single_word(i, n)))
 
 
@@ -202,7 +203,7 @@ def enveloping_presentation(L: LieConformalSpec, engine: Engine | None = None) -
 @dataclass(frozen=True)
 class HalfPBWReport:
     """Outcome of the mixed-composition check over all i > j > k and valid
-    labels.
+    labels, each the presentation's intersection composition on a_i<m> a_j<m'> a_k.
 
     Nonzero remainders indicate an invalid table (or an engine bug) only
     when the presentation is D-free.  Otherwise they may be artefacts of
@@ -223,31 +224,26 @@ def half_pbw_check(L: LieConformalSpec, engine: Engine | None = None) -> HalfPBW
     """Reduce s_ij<m'> a_k - a_i<m> s_jk against the presentation for all
     i > j > k and valid m, m'; collect nonzero remainders.
 
-    The reduction runs against the presentation alone, so for a
-    presentation that is not D-free a reported remainder is not proof of
-    an invalid table (see HalfPBWReport).
+    Each is the intersection composition of the rules with leads a_i<m> a_j
+    (s_ij itself) and a_j<m'> a_k, evaluated by ``eval_composition``.  The
+    reduction runs against the presentation alone, so for one that is not
+    D-free a remainder is not proof of an invalid table (see HalfPBWReport).
     """
-    if engine is None:
-        engine = Engine(L.signature)
     system = enveloping_presentation(L, engine)
-    sig = L.signature
-    labels = list(iter_box(sig.locality))
-    checked = 0
-    failures = []
+    sig, z = L.signature, L.signature.zero_exp()
+    rule = {r.lead: e for e, r in enumerate(system.rules)}
+    labels = list(product(iter_box(sig.locality), repeat=2))
+    checked, failures = 0, []
     for i in range(len(sig.generators)):
         for j in range(i):
             for k in range(j):
-                unit_k = ConfPoly.from_word(single_word(k, sig.n))
-                for m in labels:
-                    s_ij = lie_relation(engine, L, i, j, m)
-                    for mp in labels:
-                        s_jk = lie_relation(engine, L, j, k, mp)
-                        poly = (engine.mul_poly(s_ij, mp, unit_k)
-                                - engine.mul_prefix_poly(i, m, s_jk))
-                        remainder, _ = system.reduce(poly)
-                        checked += 1
-                        if not remainder.is_zero():
-                            failures.append(((i, j, k, m, mp), remainder))
+                for m, mp in labels:
+                    f, g = NormalWord(((i, m),), j, z), NormalWord(((j, mp),), k, z)
+                    task = _intersection(f, g, rule[f], rule[g], 1, 1)
+                    remainder, _ = system.reduce(system.eval_composition(task))
+                    checked += 1
+                    if not remainder.is_zero():
+                        failures.append(((i, j, k, m, mp), remainder))
     return HalfPBWReport(checked, tuple(failures))
 
 

@@ -329,10 +329,7 @@ def format_polynomial(sig: AlgebraSignature, p: ConfPoly) -> str:
 
 def _format_tree(sig: AlgebraSignature, tree: ExprTree) -> str:
     if isinstance(tree, Leaf):
-        name = sig.generators[tree.gen]
-        if any(tree.dexp):
-            return f"D{{{format_index(tree.dexp)}}} {name}"
-        return name
+        return format_word(sig, NormalWord((), tree.gen, tree.dexp))
     left = _format_tree(sig, tree.left)
     if isinstance(tree.left, Node):
         left = f"({left})"

@@ -27,7 +27,7 @@ from .indices import (
     iter_box,
     zero_index,
 )
-from .words import Coeff, ConfPoly, NormalWord, accumulate, compare_words, single_word
+from .words import Coeff, ConfPoly, NormalWord, _is_normal, accumulate, compare_words, single_word
 
 INCLUSION = "inclusion"
 RIGHT_INCLUSION = "right-inclusion"
@@ -224,8 +224,8 @@ class _LeadIndex:
 
 
 class RewriteSystem:
-    """A sequence of monic nonzero relation polynomials, one Rule each, in
-    the tuple ``rules``: only ``_append`` and ``interreduce`` write it."""
+    """Monic nonzero relations over normal words (else ValueError), one Rule
+    each, in the tuple ``rules``: only ``_append`` and ``interreduce`` write it."""
 
     def __init__(self, engine: Engine, elements=()):
         self.engine = engine
@@ -234,6 +234,9 @@ class RewriteSystem:
         self._index = _LeadIndex(())
         self._steps: dict = {}  # reduce's step at each word; emptied when rules change
         for p in elements:
+            for w in p.terms:
+                if not _is_normal(self.sig, w, engine._valid.__contains__):
+                    raise ValueError(f"{w} is not a normal word over {self.sig}")
             self._append(p)
 
     def __len__(self) -> int:

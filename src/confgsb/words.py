@@ -93,15 +93,19 @@ def single_word(gen: int, n: int, taild: MultiIndex | None = None) -> NormalWord
     return NormalWord((), gen, taild if taild is not None else zero_index(n))
 
 
+def _is_normal(sig: AlgebraSignature, w: NormalWord, valid) -> bool:
+    ngens = len(sig.generators)
+    return (all(0 <= g < ngens and valid(m) for g, m in w.links)
+            and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0)
+
+
 def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
     """Validate a word against the signature (labels valid, gens in range).
 
     Raises RuntimeError: the engine's audit (check=True) calls this on the
     words it reads and produces, where a bad word is a broken invariant.
     """
-    ngens = len(sig.generators)
-    if not (all(0 <= g < ngens and sig.is_valid(m) for g, m in w.links)
-            and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0):
+    if not _is_normal(sig, w, sig.is_valid):
         raise RuntimeError(f"{w} is not a normal word over {sig}")
     return w
 

@@ -17,9 +17,11 @@ from confgsb.envelope import (
     loop_conformal,
     validate_lie,
     bracket,
+    bracket_conformal,
 )
 from confgsb.indices import index_add, index_sub, iter_box, sign_of, factorial_multi
 from confgsb.parsing import parse_presentation
+from confgsb.rewrite import INTERSECTION, RewriteSystem
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -298,21 +300,113 @@ def test_half_pbw_abelian_locality_two():
     assert again == report
 
 
-def test_half_pbw_detects_broken_jacobi():
-    # corrupted sl2 table bypassing the Lie validation of loop_conformal
-    sig = AlgebraSignature(2, (1, 1), ("f", "h", "e"))
+def _sl2_table(locality, h_f=-2):
+    # sl2 at label zero; any h_f but -2 breaks Jacobi, bypassing validation
+    sig = AlgebraSignature(2, locality, ("f", "h", "e"))
     z = (0, 0)
-    table = {
-        (1, 0, z): ConfPoly.from_word(single_word(0, 2), -3),
+    return lie_conformal(sig, {
+        (1, 0, z): ConfPoly.from_word(single_word(0, 2), h_f),
         (2, 0, z): ConfPoly.from_word(single_word(1, 2)),
         (2, 1, z): ConfPoly.from_word(single_word(2, 2), -2),
-    }
-    report = half_pbw_check(lie_conformal(sig, table))
+    })
+
+
+def test_half_pbw_detects_broken_jacobi():
+    # corrupted sl2 table bypassing the Lie validation of loop_conformal
+    report = half_pbw_check(_sl2_table((1, 1), h_f=-3))
     assert report.checked == 1
     assert not report.ok
     (key, remainder), = report.failures
     assert key == (2, 1, 0, (0, 0), (0, 0))
     assert remainder == ConfPoly.from_word(single_word(1, 2), -1)
+
+
+HALF_PBW_TABLES = {
+    "sl2-loop-1": lambda: loop_conformal(sl2(), 1),
+    "sl2-loop-2": lambda: loop_conformal(sl2(), 2),
+    "abelian-22": lambda: lie_conformal(AlgebraSignature(2, (2, 2), ("x", "y", "z")), {}),
+    "sl2-current-22": lambda: bracket_conformal(AlgebraSignature(2, (2, 2), ("f", "h", "e")),
+                                                sl2()),
+    "abelian-3": lambda: lie_conformal(AlgebraSignature(1, (3,), ("a", "b", "c", "d")), {}),
+    "sl2-corrupted-11": lambda: _sl2_table((1, 1), h_f=-3),
+    "sl2-corrupted-22": lambda: _sl2_table((2, 2), h_f=-3),
+}
+
+
+def _reference_compositions(L, engine):
+    """The mixed compositions s_ij<m'> a_k - a_i<m> s_jk built by hand, as
+    products of the defining relations, in the check's instance order."""
+    sig = L.signature
+    labels = list(iter_box(sig.locality))
+    out = []
+    for i in range(len(sig.generators)):
+        for j in range(i):
+            for k in range(j):
+                unit_k = ConfPoly.from_word(single_word(k, sig.n))
+                for m in labels:
+                    s_ij = lie_relation(engine, L, i, j, m)
+                    for mp in labels:
+                        s_jk = lie_relation(engine, L, j, k, mp)
+                        out.append(((i, j, k, m, mp), engine.mul_poly(s_ij, mp, unit_k)
+                                    - engine.mul_prefix_poly(i, m, s_jk)))
+    return out
+
+
+@pytest.mark.parametrize("name", HALF_PBW_TABLES)
+def test_half_pbw_compositions_match_the_hand_built_reference(name, monkeypatch):
+    L = HALF_PBW_TABLES[name]()
+    evaluated, reduced = [], []
+    eval_composition, reduce = RewriteSystem.eval_composition, RewriteSystem.reduce
+
+    def recording_eval(system, task):
+        out = eval_composition(system, task)
+        evaluated.append((task, out))
+        return out
+
+    def recording_reduce(system, p):
+        out = reduce(system, p)
+        if evaluated and p is evaluated[-1][1]:
+            reduced.append(out)
+        return out
+
+    monkeypatch.setattr(RewriteSystem, "eval_composition", recording_eval)
+    monkeypatch.setattr(RewriteSystem, "reduce", recording_reduce)
+    report = half_pbw_check(L, Engine(L.signature))
+    monkeypatch.undo()
+
+    engine = Engine(L.signature)
+    presentation = enveloping_presentation(L, engine)
+    reference = _reference_compositions(L, engine)
+    assert report.checked == len(reference) == len(evaluated) == len(reduced)
+    failures = []
+    for (key, want), (task, got), (remainder, trace) in zip(reference, evaluated, reduced):
+        i, j, k, m, mp = key
+        assert (task.kind, task.pos, task.c) == (INTERSECTION, 1, 1)
+        assert task.w == word([(i, m), (j, mp)], k, (0,) * L.signature.n)
+        assert list(got.terms.items()) == list(want.terms.items()), key
+        want_remainder, want_trace = presentation.reduce(want)
+        assert list(remainder.terms.items()) == list(want_remainder.terms.items()), key
+        assert trace == want_trace, key
+        if not want_remainder.is_zero():
+            failures.append((key, want_remainder))
+    assert [key for key, _ in report.failures] == [key for key, _ in failures]
+    for (_, got), (_, want) in zip(report.failures, failures):
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("name", HALF_PBW_TABLES)
+def test_presentation_keeps_each_commutation_relation_unchanged(name):
+    # half_pbw_check takes s_ij from the interreduced presentation: for
+    # i > j the rule with lead a_i<m> a_j is lie_relation's, dict order too
+    L = HALF_PBW_TABLES[name]()
+    sig, engine = L.signature, Engine(L.signature)
+    rules = {rule.lead: rule.poly for rule in enveloping_presentation(L, engine).rules}
+    for i in range(len(sig.generators)):
+        for j in range(i):
+            for m in iter_box(sig.locality):
+                want = lie_relation(engine, L, i, j, m)
+                got = rules[word([(i, m)], j, (0,) * sig.n)]
+                assert list(got.terms.items()) == list(want.terms.items()), (i, j, m)
 
 
 def test_relation_heads_are_leading():

@@ -288,6 +288,17 @@ def test_presentation_canonical_round_trip():
         assert parse_presentation(canon).canonical() == canon
 
 
+def test_presentation_canonical_round_trip_with_derived_leaves():
+    # a derived leaf prints as format_word prints a length-1 word
+    src = ("algebra\n  n: 2\n  locality: [2, 2]\n  generators: [a]\n\nrelations\n"
+           "  r: a<0,0> D{1,0} a - 2 D{1,0} a + (D{0,1} a)<1,0> a\n")
+    canon = parse_presentation(src).canonical()
+    assert canon.endswith("  r: a<0,0> D{1,0} a - 2 D{1,0} a + D{0,1} a<1,0> a\n")
+    again = parse_presentation(canon)
+    assert again == parse_presentation(src)
+    assert again.canonical() == canon
+
+
 def test_presentation_bracket_value_zero_and_indices():
     src = SL2_FILE.replace("bracket(h, f): -2*f", "bracket(1, 0): 0")
     pres = parse_presentation(src)

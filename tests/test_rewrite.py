@@ -4,6 +4,7 @@ import heapq
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -1444,6 +1445,25 @@ def test_check_gsb_flags_incomplete_system():
 def test_zero_element_rejected():
     with pytest.raises(ValueError):
         RewriteSystem(ENG, [ConfPoly.zero()])
+
+
+@pytest.mark.parametrize("bad", [
+    NormalWord(((0, (0, 0)),), 5, (0, 0)),
+    NormalWord((), 0, (0,)),
+    NormalWord((), 0, (0, -1)),
+    NormalWord(((0, (2, 0)),), 0, (0, 0)),
+    NormalWord(((3, (0, 0)),), 0, (0, 0)),
+], ids=["tail-generator", "tail-arity", "negative-tail", "label", "link-generator"])
+def test_input_words_must_be_normal_words(bad):
+    # without the check the first word is taken in (and completes to 6
+    # elements), the second raises IndexError and the third a falling
+    # factorial of negative order
+    p = mono() + ConfPoly.from_word(bad, 2)
+    message = re.escape(f"{bad} is not a normal word over {SIG}")
+    with pytest.raises(ValueError, match=message):
+        RewriteSystem(ENG, [F, p])
+    with pytest.raises(ValueError, match=message):
+        complete(ENG, [p])
 
 
 def test_invalid_input_rejected_under_optimize():
