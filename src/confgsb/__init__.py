@@ -9,9 +9,7 @@ from .indices import (
     MultiIndex,
     falling_factorial,
     index_add,
-    index_pos_part,
     index_sub,
-    is_valid_index,
     iter_box,
     sign_of,
     unit_index,

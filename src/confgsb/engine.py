@@ -47,7 +47,6 @@ from .indices import (
     falling_factorial,
     index_add,
     index_sub,
-    iter_box,
     sign_of,
     unit_index,
     zero_index,
@@ -82,7 +81,7 @@ class Engine:
         self.sig = sig
         self.check = check
         self.invariant_checks = 0
-        self._valid = frozenset(iter_box(sig.locality))
+        self._valid = sig.labels
         self._prefix_memo: dict = {}
         self._words_memo: dict = {}
         self._derive_memo: dict = {}

@@ -27,7 +27,7 @@ from .indices import (
     zero_index,
 )
 from .rewrite import RewriteSystem, _intersection
-from .words import AlgebraSignature, ConfPoly, NormalWord, accumulate, exact, single_word
+from .words import AlgebraSignature, ConfPoly, NormalWord, _is_normal, accumulate, exact, single_word
 
 
 # -- ordinary Lie algebras -----------------------------------------------------
@@ -127,8 +127,7 @@ def lie_conformal(signature: AlgebraSignature, table) -> LieConformalSpec:
         for w in value.terms:
             if w.length != 1:
                 raise ValueError(f"table values must be length-1 combinations, got {w}")
-            if not (0 <= w.tail < len(signature.generators) and len(w.taild) == signature.n
-                    and min(w.taild) >= 0):
+            if not _is_normal(signature, w):
                 raise ValueError(f"table value word {w} is not a derived generator of the signature")
         norm[(i, j, m)] = value
     return LieConformalSpec(signature, norm)
@@ -239,7 +238,7 @@ def half_pbw_check(L: LieConformalSpec, engine: Engine | None = None) -> HalfPBW
             for k in range(j):
                 for m, mp in labels:
                     f, g = NormalWord(((i, m),), j, z), NormalWord(((j, mp),), k, z)
-                    task = _intersection(f, g, rule[f], rule[g], 1, 1)
+                    task = _intersection(f, g, rule[f], rule[g], 1)
                     remainder, _ = system.reduce(system.eval_composition(task))
                     checked += 1
                     if not remainder.is_zero():

@@ -3,7 +3,7 @@
 A multi-index is a tuple of n nonnegative integers.  Everything downstream
 (word labels, derivation exponents, locality bounds) is built on these, so the
 helpers here are deliberately small and total: signs, factorials, falling
-factorials, and validity against a locality bound.  All arithmetic is
+factorials, sums, differences and boxes of indices.  All arithmetic is
 arbitrary-precision by construction (Python ints).
 """
 
@@ -30,15 +30,6 @@ def sign_of(s: MultiIndex) -> int:
     return -1 if sum(s) % 2 else 1
 
 
-def is_valid_index(m: MultiIndex, bound: MultiIndex) -> bool:
-    """True iff m_t < bound_t for every coordinate (strict in all of them).
-
-    This is the condition for a product label to survive locality; a word may
-    carry the label m exactly when this holds.
-    """
-    return all(0 <= mt < nt for mt, nt in zip(m, bound, strict=True))
-
-
 def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -54,11 +45,6 @@ def index_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     if min(out) < 0:
         raise ValueError(f"negative index difference {a} - {b}")
     return out
-
-
-def index_pos_part(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Componentwise max(a - b, 0)."""
-    return tuple(max(x - y, 0) for x, y in zip(a, b, strict=True))
 
 
 def unit_index(n: int, t: int) -> MultiIndex:

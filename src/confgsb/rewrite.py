@@ -16,17 +16,11 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
-from operator import attrgetter, le
+from operator import le
 from typing import NamedTuple
 
 from .engine import Engine
-from .indices import (
-    MultiIndex,
-    index_add,
-    index_pos_part,
-    iter_box,
-    zero_index,
-)
+from .indices import MultiIndex, index_sub, iter_box, zero_index
 from .words import Coeff, ConfPoly, NormalWord, _is_normal, accumulate, compare_words, single_word
 
 INCLUSION = "inclusion"
@@ -96,7 +90,8 @@ class CompositionTask(NamedTuple):
     """One critical-pair obligation between elements ``i`` and ``j``.
 
     Overlap kinds (inclusion, right-inclusion, intersection) carry the
-    ambient word ``w`` whose two eliminations get subtracted.  The
+    ambient word ``w`` whose two eliminations get subtracted: rule i's lead
+    at 0, rule j's at ``pos``; w says how each sits (``_occurrence``).  The
     multiplication kinds carry the generator index in ``j`` and the
     product label ``m``; their ``w`` is a formal word used only to order
     the completion queue.
@@ -115,10 +110,7 @@ class CompositionTask(NamedTuple):
     i: int
     j: int
     pos: int = 0
-    c: int = 0
     m: MultiIndex | None = None
-    alpha: MultiIndex | None = None
-    beta: MultiIndex | None = None
 
     @property
     def kind(self) -> str:
@@ -128,17 +120,14 @@ class CompositionTask(NamedTuple):
 def _right_inclusion(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> CompositionTask:
     """The right inclusion of lead ``gj`` at suffix p of ``fi``,
     tail derivations split minimally."""
-    alpha = index_pos_part(gj.taild, fi.taild)
-    beta = index_pos_part(fi.taild, gj.taild)
-    w = NormalWord(fi.links, fi.tail, index_add(fi.taild, alpha))
-    return CompositionTask(len(w.links), w, KIND_RANK[RIGHT_INCLUSION], i, j, p,
-                           alpha=alpha, beta=beta)
+    w = NormalWord(fi.links, fi.tail, tuple(map(max, fi.taild, gj.taild)))
+    return CompositionTask(len(w.links), w, KIND_RANK[RIGHT_INCLUSION], i, j, p)
 
 
-def _intersection(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int, c: int) -> CompositionTask:
-    """The intersection of the suffix at p of ``fi`` overlapping the first c letters of ``gj``."""
-    w = NormalWord(fi.links + gj.links[c - 1:], gj.tail, gj.taild)
-    return CompositionTask(len(w.links), w, KIND_RANK[INTERSECTION], i, j, p, c)
+def _intersection(fi: NormalWord, gj: NormalWord, i: int, j: int, p: int) -> CompositionTask:
+    """The intersection of the suffix at p of ``fi`` with a prefix of ``gj``."""
+    w = NormalWord(fi.links + gj.links[fi.length - p - 1:], gj.tail, gj.taild)
+    return CompositionTask(len(w.links), w, KIND_RANK[INTERSECTION], i, j, p)
 
 
 @dataclass(frozen=True)
@@ -235,7 +224,7 @@ class RewriteSystem:
         self._steps: dict = {}  # reduce's step at each word; emptied when rules change
         for p in elements:
             for w in p.terms:
-                if not _is_normal(self.sig, w, engine._valid.__contains__):
+                if not _is_normal(self.sig, w):
                     raise ValueError(f"{w} is not a normal word over {self.sig}")
             self._append(p)
 
@@ -296,7 +285,7 @@ class RewriteSystem:
         """
         eng, rule, prefix = self.engine, self.rules[occ.elem], w.links[:occ.pos]
         for _, m in prefix:
-            if m not in eng._valid:
+            if m not in self.sig.labels:
                 raise ValueError(f"{w} is not a normal word: a label before {occ.pos} is not valid")
         if occ.second:
             key = occ.dshift
@@ -400,13 +389,13 @@ class RewriteSystem:
         for c in range(1, nl + 1):
             for i, p in index.suffixes.get((links[:c - 1], links[c - 1][0]), ()):
                 if p and i <= k and rules[i].dfree:
-                    yield _intersection(rules[i].lead, g, i, k, p, c)
+                    yield _intersection(rules[i].lead, g, i, k, p)
         # a proper suffix of k's lead is a prefix of an earlier lead
         if rules[k].dfree:
             for p in range(1, nl + 1):
                 for i, q in index.segments.get((links[p:], tail), ()):
                     if not q and i < k:
-                        yield _intersection(g, rules[i].lead, k, i, p, nl + 1 - p)
+                        yield _intersection(g, rules[i].lead, k, i, p)
         yield from self._multiplication_entries(k)
 
     def multiplication_bounds(self, p: ConfPoly) -> MultiIndex:
@@ -458,16 +447,24 @@ class RewriteSystem:
                     yield CompositionTask(size, w, KIND_RANK[RIGHT_MUL], i, g, m=m)
 
     def all_tasks(self) -> list[CompositionTask]:
-        """Every composition task: the overlap tasks by (i, j, kind, c, pos),
+        """Every composition task: the overlap tasks by (i, j, kind, -size, pos),
         then the multiplication tasks of each element in turn."""
         overlaps, products = [], []
         for k in range(len(self)):
             for task in chain(self._inclusion_entries(k), self._extension_entries(k)):
                 (overlaps if task.rank < KIND_RANK[LEFT_MUL] else products).append(task)
-        overlaps.sort(key=attrgetter("i", "j", "rank", "c", "pos"))
+        overlaps.sort(key=lambda t: (t.i, t.j, t.rank, -t.size, t.pos))
         return overlaps + products
 
     # -- composition evaluation ----------------------------------------------
+
+    def _occurrence(self, w: NormalWord, e: int, pos: int) -> Occurrence:
+        """Rule e's lead at generator pos of w: inside w if a link follows
+        it, else w's suffix with w's tail exponent at or above its own."""
+        lead = self.rules[e].lead
+        if pos + len(lead.links) < len(w.links):
+            return Occurrence(e, pos, False)
+        return Occurrence(e, pos, True, index_sub(w.taild, lead.taild))
 
     def eval_composition(self, task: CompositionTask) -> ConfPoly:
         """The composition polynomial of a task, engine-normalized.
@@ -475,21 +472,16 @@ class RewriteSystem:
         An overlap composition is the difference of two S-words of task.w,
         rule i at 0 less rule j at task.pos, so it sits strictly below task.w.
         """
-        eng = self.engine
-        n = self.sig.n
+        eng, w = self.engine, task.w
         poly = self.rules[task.i].poly
         if task.kind == LEFT_MUL:
             return eng.mul_prefix_poly(task.j, task.m, poly)
         if task.kind == RIGHT_MUL:
-            unit = ConfPoly.from_word(single_word(task.j, n))
+            unit = ConfPoly.from_word(single_word(task.j, self.sig.n))
             return eng.mul_poly(poly, task.m, unit)
-        # alpha and beta are None but for right inclusions
-        first = (Occurrence(task.i, 0, False) if task.kind == INTERSECTION
-                 else Occurrence(task.i, 0, True, task.alpha or zero_index(n)))
-        second = (Occurrence(task.j, task.pos, False) if task.kind == INCLUSION
-                  else Occurrence(task.j, task.pos, True, task.beta or zero_index(n)))
-        out = self.build_sword(task.w, first) - self.build_sword(task.w, second)
-        if not out.is_zero() and compare_words(out.leading_word(), task.w) >= 0:
+        out = (self.build_sword(w, self._occurrence(w, task.i, 0))
+               - self.build_sword(w, self._occurrence(w, task.j, task.pos)))
+        if not out.is_zero() and compare_words(out.leading_word(), w) >= 0:
             raise RuntimeError(f"composition does not descend below its word: {task}")
         return out
 

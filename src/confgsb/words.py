@@ -23,10 +23,11 @@ declaration position (later = greater).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .indices import MultiIndex, is_valid_index, zero_index
+from .indices import MultiIndex, iter_box, zero_index
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,13 @@ class AlgebraSignature:
         if not self.generators:
             raise ValueError("at least one generator required")
 
+    @cached_property
+    def labels(self) -> frozenset[MultiIndex]:
+        """The valid labels: every m with 0 <= m_t < locality_t."""
+        return frozenset(iter_box(self.locality))
+
     def is_valid(self, m: MultiIndex) -> bool:
-        return is_valid_index(m, self.locality)
+        return tuple(m) in self.labels
 
     def zero_exp(self) -> MultiIndex:
         return zero_index(self.n)
@@ -93,9 +99,9 @@ def single_word(gen: int, n: int, taild: MultiIndex | None = None) -> NormalWord
     return NormalWord((), gen, taild if taild is not None else zero_index(n))
 
 
-def _is_normal(sig: AlgebraSignature, w: NormalWord, valid) -> bool:
+def _is_normal(sig: AlgebraSignature, w: NormalWord) -> bool:
     ngens = len(sig.generators)
-    return (all(0 <= g < ngens and valid(m) for g, m in w.links)
+    return (all(0 <= g < ngens and m in sig.labels for g, m in w.links)
             and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0)
 
 
@@ -105,7 +111,7 @@ def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
     Raises RuntimeError: the engine's audit (check=True) calls this on the
     words it reads and produces, where a bad word is a broken invariant.
     """
-    if not _is_normal(sig, w, sig.is_valid):
+    if not _is_normal(sig, w):
         raise RuntimeError(f"{w} is not a normal word over {sig}")
     return w
 

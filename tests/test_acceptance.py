@@ -48,7 +48,7 @@ from confgsb.indices import (
 )
 from confgsb.naive import naive_normalize
 from confgsb.parsing import format_polynomial, format_word
-from confgsb.rewrite import COMPLETE, LEFT_MUL, RIGHT_MUL, RewriteSystem, complete
+from confgsb.rewrite import COMPLETE, INTERSECTION, LEFT_MUL, RIGHT_MUL, RewriteSystem, complete
 from confgsb.words import (
     AlgebraSignature,
     ConfPoly,
@@ -200,9 +200,12 @@ def test_c03_vanishing_thresholds_exhaustive():
 
 
 def _single_overlap(system, i, j, expected_w, c=None):
-    # the overlap tasks of the pair (i, j); a product task's j is a generator
+    # the overlap tasks of the pair (i, j); a product task's j is a generator.
+    # An intersection's leads share c letters of its word.
+    c_of = system.rules[i].lead.length + system.rules[j].lead.length
     tasks = [t for t in system.all_tasks() if (t.i, t.j) == (i, j)
-             and t.kind not in (LEFT_MUL, RIGHT_MUL) and (c is None or t.c == c)]
+             and t.kind not in (LEFT_MUL, RIGHT_MUL)
+             and (c is None or t.kind == INTERSECTION and c_of - t.w.length == c)]
     assert len(tasks) == 1, tasks
     task = tasks[0]
     assert task.w == expected_w, format_word(system.sig, task.w)

@@ -381,7 +381,8 @@ def test_half_pbw_compositions_match_the_hand_built_reference(name, monkeypatch)
     failures = []
     for (key, want), (task, got), (remainder, trace) in zip(reference, evaluated, reduced):
         i, j, k, m, mp = key
-        assert (task.kind, task.pos, task.c) == (INTERSECTION, 1, 1)
+        # the two leads share the letter a_j of the word
+        assert (task.kind, task.pos) == (INTERSECTION, 1)
         assert task.w == word([(i, m), (j, mp)], k, (0,) * L.signature.n)
         assert list(got.terms.items()) == list(want.terms.items()), key
         want_remainder, want_trace = presentation.reduce(want)

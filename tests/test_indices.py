@@ -1,4 +1,4 @@
-"""Multi-index arithmetic: binomials, signs, validity, iteration."""
+"""Multi-index arithmetic: binomials, signs, iteration."""
 
 import math
 
@@ -9,9 +9,7 @@ from confgsb.indices import (
     factorial_multi,
     falling_factorial,
     index_add,
-    index_pos_part,
     index_sub,
-    is_valid_index,
     iter_box,
     sign_of,
     unit_index,
@@ -94,19 +92,9 @@ def test_sign_of():
     assert sign_of((2, 1)) == -1
 
 
-def test_validity_is_strict_in_every_coordinate():
-    bound = (2, 3)
-    assert is_valid_index((1, 2), bound)
-    assert is_valid_index((0, 0), bound)
-    assert not is_valid_index((2, 0), bound)  # m_1 == N_1 already invalid
-    assert not is_valid_index((0, 3), bound)
-    assert not is_valid_index((2, 3), bound)
-
-
 def test_index_arithmetic():
     assert index_add((1, 2), (3, 4)) == (4, 6)
     assert index_sub((3, 4), (1, 2)) == (2, 2)
-    assert index_pos_part((1, 5), (3, 2)) == (0, 3)
     assert unit_index(3, 1) == (0, 1, 0)
     assert zero_index(3) == (0, 0, 0)
     with pytest.raises(ValueError):
@@ -123,7 +111,7 @@ def test_iter_box_is_ascending_lex_and_complete():
     assert box == sorted(box)
     assert box[0] == (0, 0)
     assert box[-1] == (1, 2)
-    assert all(is_valid_index(m, (2, 3)) for m in box)
+    assert all(0 <= a < 2 and 0 <= b < 3 for a, b in box)
 
 
 def test_iter_below_matches_binomial_support():

@@ -314,8 +314,20 @@ def overlap_tasks(system, i, j):
             p = lf - c
             if fig[p:] == gjg[:c] and all(
                     fi.links[p + r][1] == gj.links[r][1] for r in range(c - 1)):
-                tasks.append(CompositionTask._make(_intersection(fi, gj, i, j, p, c)))
+                tasks.append(CompositionTask._make(_intersection(fi, gj, i, j, p)))
     return tasks
+
+
+def _shared_letters(system, task):
+    """The letters an intersection's two leads share in its word."""
+    return system.rules[task.i].lead.length + system.rules[task.j].lead.length - task.w.length
+
+
+def _tail_split(system, task):
+    """The tail exponents a right inclusion's word adds to rule i's lead
+    and to rule j's, read off the occurrences of the two leads in it."""
+    return (system._occurrence(task.w, task.i, 0).dshift,
+            system._occurrence(task.w, task.j, task.pos).dshift)
 
 
 def multiplication_tasks(system, i):
@@ -329,7 +341,7 @@ def test_self_overlap_of_quadratic_relation():
     tasks = overlap_tasks(sys_f, 0, 0)
     assert [t.kind for t in tasks] == [INTERSECTION]
     task = tasks[0]
-    assert task.w == w((0, 0), (0, 0)) and task.c == 1
+    assert task.w == w((0, 0), (0, 0)) and _shared_letters(sys_f, task) == 1
     assert sys_f.eval_composition(task).is_zero()
 
 
@@ -346,7 +358,7 @@ def test_self_overlaps_of_cubic_relation_vanish():
     sys_g = RewriteSystem(ENG, [G])
     tasks = overlap_tasks(sys_g, 0, 0)
     assert [t.kind for t in tasks] == [INTERSECTION, INTERSECTION]
-    by_c = {t.c: t for t in tasks}
+    by_c = {_shared_letters(sys_g, t): t for t in tasks}
     assert by_c[1].w == w((1, 0), (1, 0), (1, 0), (1, 0))
     assert by_c[2].w == w((1, 0), (1, 0), (1, 0))
     assert sys_g.eval_composition(by_c[1]).is_zero()
@@ -355,7 +367,7 @@ def test_self_overlaps_of_cubic_relation_vanish():
 
 def test_intersection_g_with_q_reduces_via_s():
     system = RewriteSystem(ENG, [G, Q, S])
-    tasks = [t for t in overlap_tasks(system, 0, 1) if t.c == 1]
+    tasks = [t for t in overlap_tasks(system, 0, 1) if _shared_letters(system, t) == 1]
     assert len(tasks) == 1
     task = tasks[0]
     assert task.w == w((1, 0), (1, 0), (1, 1), (0, 1))
@@ -369,7 +381,7 @@ def test_intersection_g_with_q_reduces_via_s():
 
 def test_intersection_g_with_h_needs_s_not_just_q():
     system = RewriteSystem(ENG, [G, H])
-    tasks = [t for t in overlap_tasks(system, 0, 1) if t.c == 1]
+    tasks = [t for t in overlap_tasks(system, 0, 1) if _shared_letters(system, t) == 1]
     task = tasks[0]
     assert task.w == w((1, 0), (1, 0), (0, 1), (0, 1))
     comp = system.eval_composition(task)
@@ -390,12 +402,12 @@ def test_right_inclusion_same_pattern_different_tails():
     system = RewriteSystem(ENG, [e1, e2])
     t01 = overlap_tasks(system, 0, 1)
     assert [t.kind for t in t01] == [RIGHT_INCLUSION]
-    assert t01[0].alpha == (0, 0) and t01[0].beta == (0, 1)
+    assert _tail_split(system, t01[0]) == ((0, 0), (0, 1))
     assert t01[0].w == w((1, 0), taild=(1, 1))
     assert system.eval_composition(t01[0]).is_zero()
     t10 = overlap_tasks(system, 1, 0)
     assert [t.kind for t in t10] == [RIGHT_INCLUSION]
-    assert t10[0].alpha == (0, 1) and t10[0].beta == (0, 0)
+    assert _tail_split(system, t10[0]) == ((0, 1), (0, 0))
     assert t10[0].w == w((1, 0), taild=(1, 1))
     assert system.eval_composition(t10[0]).is_zero()
 
@@ -407,7 +419,7 @@ def test_right_inclusion_mixed_tail_supports():
     tasks = overlap_tasks(system, 0, 1)
     assert [t.kind for t in tasks] == [RIGHT_INCLUSION]
     task = tasks[0]
-    assert task.alpha == (0, 1) and task.beta == (2, 0)
+    assert _tail_split(system, task) == ((0, 1), (2, 0))
     assert task.w == w((1, 0), taild=(2, 1))
     assert system.eval_composition(task) == mono((0, 0), taild=(1, 1), c=2)
 
@@ -1106,7 +1118,7 @@ def test_matching_leaves_the_reverse_maps_unbuilt(case):
 def _eval_composition_by_kind(system, task):
     """Reference evaluator: each composition kind built by hand, the left
     side of an inclusion as the bare rule, of a right inclusion as its
-    derivative."""
+    derivative, the tail split worked out from the two leads."""
     eng = system.engine
     n = system.sig.n
     poly = system.rules[task.i].poly
@@ -1118,9 +1130,12 @@ def _eval_composition_by_kind(system, task):
     if task.kind == INCLUSION:
         out = poly - system.build_sword(task.w, Occurrence(task.j, task.pos, False))
     elif task.kind == RIGHT_INCLUSION:
-        lhs = eng.derive_multi(task.alpha, poly)
+        fd, gd = system.rules[task.i].lead.taild, system.rules[task.j].lead.taild
+        alpha = tuple(max(b - a, 0) for a, b in zip(fd, gd))
+        beta = tuple(max(a - b, 0) for a, b in zip(fd, gd))
+        lhs = eng.derive_multi(alpha, poly)
         assert lhs.leading_term() == (task.w, 1)
-        out = lhs - system.build_sword(task.w, Occurrence(task.j, task.pos, True, task.beta))
+        out = lhs - system.build_sword(task.w, Occurrence(task.j, task.pos, True, beta))
     else:
         assert task.kind == INTERSECTION
         lhs = system.build_sword(task.w, Occurrence(task.i, 0, False))
@@ -1453,7 +1468,10 @@ def test_zero_element_rejected():
     NormalWord((), 0, (0, -1)),
     NormalWord(((0, (2, 0)),), 0, (0, 0)),
     NormalWord(((3, (0, 0)),), 0, (0, 0)),
-], ids=["tail-generator", "tail-arity", "negative-tail", "label", "link-generator"])
+    NormalWord(((0, (0,)),), 0, (0, 0)),
+    NormalWord(((0, (0, 0, 0)),), 0, (0, 0)),
+], ids=["tail-generator", "tail-arity", "negative-tail", "label", "link-generator",
+        "short-label", "long-label"])
 def test_input_words_must_be_normal_words(bad):
     # without the check the first word is taken in (and completes to 6
     # elements), the second raises IndexError and the third a falling
@@ -1503,7 +1521,7 @@ for attempt in (lambda: short.mul_words(a, (0, 0), a),
                 lambda: bad.build_sword(NormalWord(((0, (1, 0)), (0, (0, 1))), 0, (0, 0)),
                                         Occurrence(0, 0, False)),
                 lambda: bad.eval_composition(CompositionTask(
-                    1, wrong, KIND_RANK[RIGHT_INCLUSION], 0, 0, alpha=(0, 0), beta=(0, 0))),
+                    1, wrong, KIND_RANK[RIGHT_INCLUSION], 0, 0)),
                 lambda: small.all_tasks()):
     try:
         attempt()

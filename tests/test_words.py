@@ -62,6 +62,23 @@ def test_word_accessors():
         check_word(SIG, w((0, (2, 0)), tail=0))
 
 
+def test_validity_is_strict_in_every_coordinate():
+    sig = AlgebraSignature(2, (2, 3), ("a",))
+    assert sig.is_valid((1, 2)) and sig.is_valid([0, 0])
+    assert sig.labels == {(a, b) for a in range(2) for b in range(3)}
+    for m in ((2, 0), (0, 3), (2, 3), (-1, 0), (0,), (0, 0, 0)):
+        assert not sig.is_valid(m), m  # m_1 == N_1 is already invalid
+
+
+@pytest.mark.parametrize("label", [(0,), (0, 0, 0), (-1, 0)], ids=["short", "long", "negative"])
+def test_check_word_rejects_a_malformed_label(label):
+    # the documented RuntimeError: a label of the wrong arity once met
+    # zip(strict=True) first and raised ValueError
+    sig = AlgebraSignature(2, (2, 2), ("a",))
+    with pytest.raises(RuntimeError, match="not a normal word"):
+        check_word(sig, NormalWord(((0, label),), 0, (0, 0)))
+
+
 def test_order_length_dominates():
     assert compare_words(w((0, (0, 0)), tail=0), single_word(1, 2)) == 1
     assert compare_words(single_word(1, 2), w((0, (0, 0)), tail=0)) == -1
@@ -249,8 +266,8 @@ PUBLIC_NAMES = [
     "Occurrence", "ParseError", "Presentation", "ReductionTrace", "RewriteSystem",
     "brace", "bracket", "commutator", "compare_words", "complete", "engine", "envelope",
     "enveloping_presentation", "falling_factorial", "format_polynomial", "format_word",
-    "half_pbw_check", "index_add", "index_pos_part", "index_sub", "indices",
-    "is_valid_index", "iter_box", "lie_algebra", "lie_conformal", "lie_relation",
+    "half_pbw_check", "index_add", "index_sub", "indices", "iter_box",
+    "lie_algebra", "lie_conformal", "lie_relation",
     "loop_conformal", "naive", "naive_normalize", "parse_expression", "parse_presentation",
     "parsing", "rewrite", "sign_of", "single_word", "table_entry", "unit_index",
     "validate_lie", "words", "zero_index",
@@ -258,7 +275,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    # the public API is what ``import confgsb`` binds: 50 names and the 7
+    # the public API is what ``import confgsb`` binds: 48 names and the 7
     # submodules the package imports; ``from confgsb import *`` binds the same
     script = """
 import confgsb
