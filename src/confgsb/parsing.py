@@ -27,7 +27,9 @@ A ``bracket(i, j)`` key names each generator or gives its index in the
 ``generators`` list.  The whole file, product labels such as ``1,0`` and
 tail bounds are read with one token grammar: whitespace may sit between
 any two tokens, a ``#`` comment may follow any token and runs to the end of
-its line, and in a file a line break ends an entry.  Parsing is strict:
+its line, and in a file a line break ends an entry.  A label ``<1, 0>`` or a
+derivation exponent ``{0,1}`` is one token, whitespace inside it allowed,
+and a file is tokenized once, as a whole.  Parsing is strict:
 unknown generators, index-arity mismatches, and stray tokens raise
 :class:`ParseError` carrying the line and column.  A parsed coefficient is
 an ``int`` when it is whole (``4/2`` reads as ``2``) and a ``Fraction``
@@ -42,59 +44,49 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .indices import MultiIndex
-from .words import (
-    AlgebraSignature,
-    Coeff,
-    ConfPoly,
-    ExprTree,
-    Leaf,
-    LinComb,
-    Node,
-    NormalWord,
-    exact,
-)
+from .words import (AlgebraSignature, Coeff, ConfPoly, ExprTree, Leaf, LinComb, Node,
+                    NormalWord, exact)
 
 
 class ParseError(ValueError):
     """Syntax or validation error with a source position."""
 
-    def __init__(self, message: str, line: Optional[int] = None,
-                 col: Optional[int] = None):
-        self.message = message
-        self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f"line {line}" + (f", col {col}" if col is not None else "")
-            where += ": "
-        super().__init__(where + message)
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        self.message, self.line, self.col = message, line, col
+        where = f"line {line}" + ("" if col is None else f", col {col}") + ": "
+        super().__init__(("" if line is None else where) + message)
 
 
-# --------------------------------------------------------------------------
-# parser
-
-
-# a token is an ``int`` (``\d``, so any decimal digit), an ASCII ``name`` or
-# one punctuation character; whitespace separates tokens
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[<>{}()\[\]:,+\-*/]")
+# a token is an ``int`` (``\d``, so any decimal digit), an ASCII ``name``, a
+# label ``<d, ..., d>`` or exponent ``{d, ..., d}`` (whitespace inside, its
+# closer or entries possibly missing), a line break or one punctuation character
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[<{][\d,]*(?:[^\S\n]+[\d,]+)*(?:[^\S\n]*[>}])?"
+                       r"|\d+|[>}()\[\]:,+\-*/\n]")
+_PIECE_RE = re.compile(r"\d+|\S")  # the pieces of a label token
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_<>{}()\[\]:,+\-*/]")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _KINDS = {"int": str.isdecimal, "name": str.isidentifier}
 
 
+def _shown(tok: str) -> str:
+    """A token as an error names it: a label by its opener."""
+    return "end of input" if tok == "\n" else repr(tok[0] if tok[0] in "<{" else tok)
+
+
 class _Parser:
     def __init__(self, text: str, line: int = 1, col: int = 1,
-                 sig: Optional[AlgebraSignature] = None):
-        # the tokenizer: a comment runs to the end of its line, so dropping it
-        # moves no token's line or column
+                 sig: Optional[AlgebraSignature] = None, lines: bool = False):
+        """A parser of ``text``, which starts at ``line`` and ``col``.  With
+        ``lines`` (a file) a line break is a token that ends an entry, else
+        whitespace; one closes the tokens either way."""
+        # a comment runs to the end of its line, so dropping it moves no
+        # token's line or column
         self.text = text = _COMMENT_RE.sub("", text)
-        self.origin = (line, col)
+        self.origin, self.sig, self.pos = (line, col), sig, 0
         bad = _BAD_RE.search(text)
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", *self._at(bad.start()))
-        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end token, never consumed
-        self.sig = sig  # None until a presentation's header has been read
-        self.pos = 0
+        self.tokens = [tok for tok in _TOKEN_RE.findall(text) if lines or tok != "\n"] + ["\n"]
 
     # -- token plumbing --
 
@@ -106,13 +98,14 @@ class _Parser:
         return self.origin[0] + self.text.count("\n", 0, offset), offset - newline
 
     def _where(self, k: int) -> tuple[int, int]:
-        """The line and column of token ``k``: the end token sits just after
-        the last real token, or at the origin when there is none."""
-        last = len(self.tokens) - 1
-        if not last:
-            return self.origin
-        match = list(_TOKEN_RE.finditer(self.text))[min(k, last - 1)]
-        return self._at(match.start() if k < last else match.end())
+        """The line and column of token ``k``; a line break, which ends the
+        input or an entry, sits just after the token before it."""
+        end = 0
+        for tok in self.tokens[:k]:  # between tokens lies only whitespace
+            if tok != "\n":
+                end = self.text.index(tok, end) + len(tok)
+        tok = self.tokens[k]
+        return self._at(end if tok == "\n" else self.text.index(tok, end))
 
     def _accept(self, *texts: str) -> Optional[str]:
         """Consume and return the next token if it is one of ``texts``."""
@@ -130,23 +123,21 @@ class _Parser:
             if _KINDS.get(kind, kind.__eq__)(tok):
                 self.pos += 1
                 return tok
-        got = repr(tok) if tok else "end of input"
-        self._fail(f"expected {' or '.join(map(repr, kinds))}, got {got}")
+        self._fail(f"expected {' or '.join(map(repr, kinds))}, got {_shown(tok)}")
 
     def _fail(self, message: str, k: Optional[int] = None):
         """Raise ``message`` at token ``k``, the next token by default."""
         raise ParseError(message, *self._where(self.pos if k is None else k))
 
     def expect_end(self) -> None:
-        tok = self.tokens[self.pos]
-        if tok:
-            self._fail(f"unexpected trailing {tok!r}")
+        if self.tokens[self.pos] != "\n":
+            self._fail(f"unexpected trailing {_shown(self.tokens[self.pos])}")
 
     # -- expressions --
 
     def parse_sum(self, body=None) -> LinComb:
         """A signed sum up to the end token; a lone ``0`` is the empty sum."""
-        if self.tokens[self.pos] == "0" and self.tokens[self.pos + 1] == "":
+        if self.tokens[self.pos] == "0" and self.tokens[self.pos + 1] == "\n":
             return []
         comb = self.parse_comb(body)
         self.expect_end()
@@ -192,35 +183,52 @@ class _Parser:
         return [(1, Leaf(self._gen(self.pos - 1), self.sig.zero_exp()))]
 
     def parse_product(self) -> LinComb:
-        left = self.parse_atom()
-        if self._accept("<"):
-            m = self.parse_index_list(self.sig.n)
-            self._expect(">")
-            right = self.parse_product()  # chains associate to the right
-            return [
-                (exact(cl * cr), Node(tl, m, tr))
-                for cl, tl in left
-                for cr, tr in right
-            ]
-        return left
+        """A chain ``a<m1> b<m2> c``, read in one loop and associated to the right."""
+        chain = [self.parse_atom()]
+        while self.tokens[self.pos][:1] == "<":
+            chain += self.parse_label(self.sig.n), self.parse_atom()
+        right = chain.pop()
+        while chain:
+            m, left = chain.pop(), chain.pop()
+            right = [(exact(cl * cr), Node(tl, m, tr)) for cl, tl in left for cr, tr in right]
+        return right
 
     def parse_atom(self) -> LinComb:
-        if self._accept("("):
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            self.pos += 1
             comb = self.parse_comb()
             self._expect(")")
             return comb
-        tok = self.tokens[self.pos]
         if not tok.isidentifier():
             self._fail("expected a generator or '('")
         self.pos += 1
-        dexp = self.sig.zero_exp()
-        if tok == "D" and self._accept("{"):
-            dexp = self.parse_index_list(self.sig.n)
-            self._expect("}")
+        dexp = (0,) * self.sig.n
+        if tok == "D" and self.tokens[self.pos][:1] == "{":
+            dexp = self.parse_label(self.sig.n)
             if not self.tokens[self.pos].isidentifier():
                 self._fail("derivation prefix requires a generator")
             self.pos += 1
         return [(1, Leaf(self._gen(self.pos - 1), dexp))]
+
+    def parse_label(self, n: int) -> MultiIndex:
+        """A label ``<m>`` or exponent ``{m}`` of ``n`` entries: one token when
+        whole, else (malformed, or broken by a line break) read piece by piece."""
+        tok = self.tokens[self.pos]
+        close = ">" if tok[0] == "<" else "}"
+        if tok[-1] == close:
+            try:
+                m = tuple(map(int, tok[1:-1].split(",")))
+            except ValueError:  # an entry is empty or holds a space
+                m = ()
+            if len(m) == n:
+                self.pos += 1
+                return m
+        self.tokens[self.pos:self.pos + 1] = _PIECE_RE.findall(tok)
+        self.pos += 1  # the opener
+        m = self.parse_index_list(n)
+        self._expect(close)
+        return m
 
     def parse_index_list(self, n: int) -> MultiIndex:
         start = self.pos
@@ -232,20 +240,18 @@ class _Parser:
         return tuple(entries)
 
     def _gen(self, k: int) -> int:
-        """The generator that token ``k``, a ``name`` or an ``int``, names or
-        indexes."""
+        """The generator that token ``k`` names (a ``name``) or indexes (an ``int``)."""
         tok, gens = self.tokens[k], self.sig.generators
-        if tok.isdecimal() and int(tok) < len(gens):
-            return int(tok)
-        if tok not in gens:
+        if tok in gens:  # a name, as no name is decimal
+            return gens.index(tok)
+        if not tok.isdecimal() or int(tok) >= len(gens):
             self._fail(f"unknown generator {tok!r}", k)
-        return gens.index(tok)
+        return int(tok)
 
     # -- presentation entries --
 
     def parse_list(self, kind: str) -> list[int]:
-        """The positions of a whole ``[item, ...]`` header value's items,
-        tokens of ``kind``."""
+        """The positions of a whole ``[item, ...]`` value's items, of ``kind``."""
         self._expect("[")
         items: list[int] = []
         while not items or self._accept(","):
@@ -258,23 +264,19 @@ class _Parser:
     def parse_key(self, block: str) -> str:
         """An entry's key and colon: ``name:``, or in a ``lie`` block
         ``bracket(i, j):`` with ``i``, ``j`` generator names or indices,
-        tokens 2 and 4."""
+        the entry's tokens 2 and 4."""
         key = self._expect("name")
         if block == "lie":
             if key != "bracket":
-                self._fail("lie entries must look like 'bracket(i, j): value'", 0)
-            self._expect("(")
-            self._expect("name", "int")
-            self._expect(",")
-            self._expect("name", "int")
-            self._expect(")")
+                self._fail("lie entries must look like 'bracket(i, j): value'", self.pos - 1)
+            for kinds in (("(",), ("name", "int"), (",",), ("name", "int"), (")",)):
+                self._expect(*kinds)
         if not self._accept(":"):
             self._fail("expected 'key: value'")
         return key
 
 
-def parse_expression(sig: AlgebraSignature, text: str,
-                     line: int = 1, col: int = 1) -> LinComb:
+def parse_expression(sig: AlgebraSignature, text: str, line: int = 1, col: int = 1) -> LinComb:
     """Parse a linear combination of labelled products over ``sig``."""
     return _Parser(text, line, col, sig).parse_sum()
 
@@ -282,16 +284,12 @@ def parse_expression(sig: AlgebraSignature, text: str,
 def parse_index(text: str, n: int) -> MultiIndex:
     """Parse a bare product label: ``1,0`` (also ``<1,0>`` or ``[1, 0]``)."""
     parser = _Parser(text)
-    opener = parser._accept("<", "[")
-    m = parser.parse_index_list(n)
-    if opener is not None:
-        parser._expect(">" if opener == "<" else "]")
+    bracket = parser._accept("[")
+    m = parser.parse_label(n) if parser.tokens[0][:1] == "<" else parser.parse_index_list(n)
+    if bracket:
+        parser._expect("]")
     parser.expect_end()
     return m
-
-
-# --------------------------------------------------------------------------
-# canonical printing
 
 
 def format_index(m: Sequence[int]) -> str:
@@ -347,10 +345,6 @@ def format_gen_combo(sig: AlgebraSignature, entries) -> str:
     return _signed_sum(((c, sig.generators[k]) for k, c in entries), "*")
 
 
-# --------------------------------------------------------------------------
-# presentation files
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A parsed presentation file: signature, named relations, bracket table."""
@@ -361,12 +355,8 @@ class Presentation:
 
     def canonical(self) -> str:
         sig = self.signature
-        lines = [
-            "algebra",
-            f"  n: {sig.n}",
-            f"  locality: [{', '.join(str(b) for b in sig.locality)}]",
-            f"  generators: [{', '.join(sig.generators)}]",
-        ]
+        lines = ["algebra", f"  n: {sig.n}", f"  locality: [{', '.join(map(str, sig.locality))}]",
+                 f"  generators: [{', '.join(sig.generators)}]"]
         if self.relations:
             lines += ["", "relations"]
             for name, comb in self.relations:
@@ -385,68 +375,75 @@ _HEADER_KEYS = ("n", "locality", "generators")
 
 def parse_presentation(text: str) -> Presentation:
     """Parse a presentation file (see the module docstring for the grammar)."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # block -> {entry name, or a lie entry's line: its parser, left after the
-    # colon until the header is read}
+    text = _COMMENT_RE.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
+    # the entries before the line of the first bad character are read first
+    bad = _BAD_RE.search(text)
+    cut = text.rfind("\n", 0, bad.start()) + 1 if bad else len(text)
+    parser = _Parser(text[:cut], lines=True)
+    tokens = parser.tokens
+    # block -> {entry name, or a lie entry's first token: its value's first token}
     entries: dict[str, dict] = {}
-    block: Optional[str] = None
-    for lineno, line in enumerate(text.split("\n"), 1):
-        parser = _Parser(line, lineno)
-        first = parser.tokens[0]
-        if not first:
-            continue
-        if len(parser.tokens) == 2 and first in _BLOCKS:
-            if first in entries:
-                parser._fail(f"duplicate {first!r} block", 0)
-            block = first
+    block, end = None, -1
+    while end + 1 < len(tokens):
+        start, end = end + 1, tokens.index("\n", end + 1)  # a line's tokens
+        if end == start + 1 and tokens[start] in _BLOCKS:
+            block = tokens[start]
+            if block in entries:
+                parser._fail(f"duplicate {block!r} block", start)
             entries[block] = {}
             continue
+        if start == end:
+            continue
         if block is None:
-            parser._fail("expected a block header ('algebra', 'relations', or 'lie')", 0)
+            parser._fail("expected a block header ('algebra', 'relations', or 'lie')", start)
+        parser.pos = start
         name = parser.parse_key(block)
         if block == "lie":
-            entries[block][lineno] = parser
+            entries[block][start] = parser.pos
         elif block == "algebra" and name not in _HEADER_KEYS:
-            parser._fail(f"unknown algebra key {name!r}", 0)
+            parser._fail(f"unknown algebra key {name!r}", start)
         elif name in entries[block]:
             what = "algebra key" if block == "algebra" else "relation name"
-            parser._fail(f"duplicate {what} {name!r}", 0)
+            parser._fail(f"duplicate {what} {name!r}", start)
         else:
-            entries[block][name] = parser
+            entries[block][name] = parser.pos
+    if bad:
+        _Parser(text[cut:], text.count("\n", 0, cut) + 1)  # raises at that character
 
     header = entries.get("algebra", {})
     for required in _HEADER_KEYS:
         if required not in header:
             raise ParseError(f"algebra block must define {required!r}")
-    n_parser, loc, gen = header["n"], header["locality"], header["generators"]
-    n = int(n_parser._expect("int"))
-    n_parser.expect_end()
+    parser.pos = header["n"]
+    n = int(parser._expect("int"))
+    parser.expect_end()
     if n < 1:
-        n_parser._fail("n must be at least 1", 2)  # after ``n :``
-    items = loc.parse_list("int")
+        parser._fail("n must be at least 1", header["n"])
+    parser.pos = header["locality"]
+    items = parser.parse_list("int")
     if len(items) != n:
-        loc._fail(f"locality has {len(items)} entries for n = {n}", items[0])
-    bounds = tuple(int(loc.tokens[k]) for k in items)
+        parser._fail(f"locality has {len(items)} entries for n = {n}", items[0])
+    bounds = tuple(int(tokens[k]) for k in items)
     if 0 in bounds:  # the items are decimal, so 0 is the one bound below 1
-        loc._fail("locality bounds must be positive", items[bounds.index(0)])
+        parser._fail("locality bounds must be positive", items[bounds.index(0)])
     names: list[str] = []
-    for k in gen.parse_list("name"):
-        if gen.tokens[k] in names:
-            gen._fail(f"duplicate generator name {gen.tokens[k]!r}", k)
-        names.append(gen.tokens[k])
-    sig = AlgebraSignature(n, bounds, tuple(names))
-    for parser in (p for parsers in entries.values() for p in parsers.values()):
-        parser.sig = sig
+    parser.pos = header["generators"]
+    for k in parser.parse_list("name"):
+        if tokens[k] in names:
+            parser._fail(f"duplicate generator name {tokens[k]!r}", k)
+        names.append(tokens[k])
+    parser.sig = sig = AlgebraSignature(n, bounds, tuple(names))
 
-    relations = tuple((name, tuple(parser.parse_sum()))
-                      for name, parser in entries.get("relations", {}).items())
+    relations = tuple((name, tuple(parser.parse_sum()))  # each read from its entry's value
+                      for name, parser.pos in entries.get("relations", {}).items())
     brackets = None
     if "lie" in entries:
         table = {}
-        for parser in entries["lie"].values():
-            key = parser._gen(2), parser._gen(4)
+        for start, parser.pos in entries["lie"].items():
+            key = parser._gen(start + 2), parser._gen(start + 4)
             if key in table:
-                parser._fail(f"duplicate bracket({parser.tokens[2]}, {parser.tokens[4]})", 2)
+                i, j = tokens[start + 2], tokens[start + 4]
+                parser._fail(f"duplicate bracket({i}, {j})", start + 2)
             comb = parser.parse_sum(_Parser.parse_generator)
             table[key] = tuple((leaf.gen, c) for c, leaf in comb)
         brackets = tuple(sorted(table.items()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import le
@@ -43,8 +44,7 @@ LIMIT_REACHED = "limit-reached"
 _UNSEEN = object()  # a word reduce has no step for yet
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One match of a system element's leading word inside a normal word.
 
     With ``second`` False the pattern sits at generator position ``pos``
@@ -60,8 +60,7 @@ class Occurrence:
     dshift: MultiIndex | None = None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One elimination: ``coeff`` times the S-word for ``occ`` at ``word``."""
 
     word: NormalWord
@@ -163,10 +162,13 @@ class Rule:
 
 
 def _rule(p: ConfPoly) -> Rule:
+    """The rule of ``p`` made monic, its leading term found once."""
     if p.is_zero():
         raise ValueError("rewriting systems hold nonzero polynomials only")
-    p = p.monic()
-    return Rule(p, p.leading_word(), p.is_dfree())
+    lead, lc = p.leading_term()
+    if lc != 1:
+        p = ConfPoly({w: c / Fraction(lc) for w, c in p.terms.items()})  # whole ones as int
+    return Rule(p, lead, p.is_dfree())
 
 
 class _LeadIndex:

@@ -101,8 +101,11 @@ def single_word(gen: int, n: int, taild: MultiIndex | None = None) -> NormalWord
 
 def _is_normal(sig: AlgebraSignature, w: NormalWord) -> bool:
     ngens = len(sig.generators)
-    return (all(0 <= g < ngens and m in sig.labels for g, m in w.links)
-            and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0)
+    try:  # a label that cannot be hashed is not in the label set
+        links = all(0 <= g < ngens and m in sig.labels for g, m in w.links)
+    except TypeError:
+        return False
+    return links and 0 <= w.tail < ngens and len(w.taild) == sig.n and min(w.taild) >= 0
 
 
 def check_word(sig: AlgebraSignature, w: NormalWord) -> NormalWord:
@@ -261,14 +264,12 @@ def compare_words(u: NormalWord, v: NormalWord) -> int:
 # combination of trees (list of (coefficient, tree) pairs).
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     gen: int
     dexp: MultiIndex
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     left: "ExprTree"
     label: MultiIndex
     right: "ExprTree"

@@ -9,6 +9,7 @@ from typing import NamedTuple, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confgsb import parsing
 from confgsb.engine import Engine
 from confgsb.parsing import (
     ParseError,
@@ -1023,6 +1024,31 @@ def test_unexpected_character_position(text, start, where):
     with pytest.raises(ParseError) as ref:
         _token_parse_expression(SIG, text, *start)
     assert str(info.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("spaced", [
+    "a< 1 , 0 > b - D{ 0,1 } a<0,1> b",
+    "a<1,0>   # a comment after a label\n b - D{0,1} a<0,1>  # and another\n b",
+    "a<\t1,0 >b - D {0, 1}a< 0,1>b",
+    "a<1,\n 0> b - D{0,\n1} a<0,1> b",  # broken by a line break: read piece by piece
+])
+def test_labels_with_whitespace_or_comments_read_as_the_compact_forms(spaced):
+    compact = parse_expression(SIG2, "a<1,0> b - D{0,1} a<0,1> b")
+    assert compact == [(1, Node(Leaf(0, (0, 0)), (1, 0), Leaf(1, (0, 0)))),
+                       (-1, Node(Leaf(0, (0, 1)), (0, 1), Leaf(1, (0, 0))))]
+    assert parse_expression(SIG2, spaced) == compact
+    spaced_file = GOLDEN_FILE.replace("a<0,0> a - a", "a< 0 , 0 > a - a  # f")
+    assert parse_presentation(spaced_file) == parse_presentation(GOLDEN_FILE)
+
+
+@pytest.mark.parametrize("name, count", [("golden_basis.alg", 59), ("idempotent33_basis.alg", 202)])
+def test_a_label_is_one_token(name, count):
+    """The tokenizer's work counter: each label is one token, so the 11
+    labels of golden_basis.alg (55 of idempotent33_basis.alg) are no longer
+    55 tokens (275), one per character."""
+    text = (_DATA_DIR / name).read_text(encoding="utf-8")
+    tokens = parsing._Parser(text, lines=True).tokens
+    assert len(tokens) - tokens.count("\n") == count
 
 
 def test_unicode_digits_are_int_tokens():

@@ -245,6 +245,47 @@ def test_trace_words_strictly_descend():
     assert start == remainder + trace.replay(system)
 
 
+def test_trace_records_keep_their_fields_repr_and_equality():
+    sys_f = RewriteSystem(ENG, [F])
+    _, trace = sys_f.reduce(ConfPoly.from_word(w((0, 0), (0, 0))))
+    assert trace.steps == (
+        TraceStep(w((0, 0), (0, 0)), Occurrence(0, 0, False), 1),
+        TraceStep(word=w((0, 0)), occ=Occurrence(elem=0, pos=0, second=True, dshift=(0, 0)),
+                  coeff=1),
+    )
+    assert Occurrence._fields == ("elem", "pos", "second", "dshift")
+    assert TraceStep._fields == ("word", "occ", "coeff")
+    assert Occurrence(2, 1, False).dshift is None
+    assert repr(Occurrence(2, 1, True, (1, 0))) == \
+        "Occurrence(elem=2, pos=1, second=True, dshift=(1, 0))"
+    step = trace.steps[1]
+    assert repr(step) == ("TraceStep(word=NormalWord(links=((0, (0, 0)),), tail=0, "
+                          "taild=(0, 0)), occ=Occurrence(elem=0, pos=0, second=True, "
+                          "dshift=(0, 0)), coeff=1)")
+    assert (step.word, step.occ.elem, step.occ.pos, step.coeff) == (w((0, 0)), 0, 0, 1)
+    assert Occurrence(0, 0, False) == Occurrence(0, 0, False, None) != Occurrence(0, 0, True)
+    assert len({Occurrence(0, 1, False), Occurrence(0, 1, False), Occurrence(1, 0, False)}) == 2
+    assert hash(step) == hash(TraceStep(w((0, 0)), Occurrence(0, 0, True, (0, 0)), 1))
+    assert ReductionTrace(trace.steps).replay(sys_f) == ConfPoly.from_word(w((0, 0), (0, 0))) - mono()
+
+
+def test_rule_finds_the_lead_once_and_is_monic(monkeypatch):
+    # a non-monic element: scaled so its lead has coefficient 1, whole
+    # coefficients kept as int, the lead taken from one pass over the terms
+    calls = []
+    leading_term = ConfPoly.leading_term
+    monkeypatch.setattr(ConfPoly, "leading_term", lambda p: calls.append(p) or leading_term(p))
+    p = mono((0, 0), c=2) - mono(c=4) + mono((1, 0), c=Fraction(1, 3))
+    rule = _rule(p)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert rule.lead == w((1, 0)) and rule.dfree
+    assert rule.poly == p.monic()
+    assert [type(c) for _, c in rule.poly] == [int, int, int]
+    assert dict(rule.poly.terms) == {w((1, 0)): 1, w((0, 0)): 6, w(): -12}
+    assert _rule(mono((0, 0))).poly.terms == {w((0, 0)): 1}
+
+
 def random_poly(rng):
     terms = ConfPoly.zero()
     for _ in range(rng.randrange(1, 5)):

@@ -79,6 +79,28 @@ def test_check_word_rejects_a_malformed_label(label):
         check_word(sig, NormalWord(((0, label),), 0, (0, 0)))
 
 
+def test_check_word_rejects_an_unhashable_label():
+    # a list label cannot be in the label set: the documented RuntimeError,
+    # not the TypeError of the set lookup
+    sig = AlgebraSignature(2, (2, 2), ("a",))
+    with pytest.raises(RuntimeError, match="not a normal word"):
+        check_word(sig, NormalWord(((0, [0, 0]),), 0, (0, 0)))
+
+
+def test_tree_records_keep_their_fields_repr_and_equality():
+    leaf, other = Leaf(0, (1, 0)), Leaf(gen=1, dexp=(0, 0))
+    node = Node(leaf, (0, 1), other)
+    assert Leaf._fields == ("gen", "dexp") and Node._fields == ("left", "label", "right")
+    assert (node.left, node.label, node.right, leaf.gen, leaf.dexp) == (leaf, (0, 1), other, 0, (1, 0))
+    assert repr(leaf) == "Leaf(gen=0, dexp=(1, 0))"
+    assert repr(node) == ("Node(left=Leaf(gen=0, dexp=(1, 0)), label=(0, 1), "
+                          "right=Leaf(gen=1, dexp=(0, 0)))")
+    assert node == Node(Leaf(0, (1, 0)), (0, 1), Leaf(1, (0, 0)))
+    assert hash(node) == hash(Node(Leaf(0, (1, 0)), (0, 1), Leaf(1, (0, 0))))
+    assert leaf != other and node != Node(other, (0, 1), leaf) and leaf != node
+    assert len({leaf, Leaf(0, (1, 0)), other, node}) == 3
+
+
 def test_order_length_dominates():
     assert compare_words(w((0, (0, 0)), tail=0), single_word(1, 2)) == 1
     assert compare_words(single_word(1, 2), w((0, (0, 0)), tail=0)) == -1
