@@ -27,9 +27,10 @@ A ``bracket(i, j)`` key names each generator or gives its index in the
 ``generators`` list.  The whole file, product labels such as ``1,0`` and
 tail bounds are read with one token grammar: whitespace may sit between
 any two tokens, a ``#`` comment may follow any token and runs to the end of
-its line, and in a file a line break ends an entry.  A label ``<1, 0>`` or a
-derivation exponent ``{0,1}`` is one token, whitespace inside it allowed,
-and a file is tokenized once, as a whole.  Parsing is strict:
+its line, and in a file a line break ends an entry.  A well-formed label
+``<1, 0>`` or derivation exponent ``{0,1}`` is one token, whitespace but no
+line break inside it allowed; any other is read as its pieces.  A file is
+tokenized once, as a whole.  Parsing is strict:
 unknown generators, index-arity mismatches, and stray tokens raise
 :class:`ParseError` carrying the line and column.  A parsed coefficient is
 an ``int`` when it is whole (``4/2`` reads as ``2``) and a ``Fraction``
@@ -44,25 +45,45 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .indices import MultiIndex
-from .words import (AlgebraSignature, Coeff, ConfPoly, ExprTree, Leaf, LinComb, Node,
-                    NormalWord, exact)
+from .words import (
+    AlgebraSignature,
+    Coeff,
+    ConfPoly,
+    ExprTree,
+    Leaf,
+    LinComb,
+    Node,
+    NormalWord,
+    exact,
+)
 
 
 class ParseError(ValueError):
     """Syntax or validation error with a source position."""
 
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        self.message, self.line, self.col = message, line, col
-        where = f"line {line}" + ("" if col is None else f", col {col}") + ": "
-        super().__init__(("" if line is None else where) + message)
+    def __init__(self, message: str, line: Optional[int] = None,
+                 col: Optional[int] = None):
+        self.message = message
+        self.line = line
+        self.col = col
+        where = ""
+        if line is not None:
+            where = f"line {line}" + (f", col {col}" if col is not None else "")
+            where += ": "
+        super().__init__(where + message)
 
 
-# a token is an ``int`` (``\d``, so any decimal digit), an ASCII ``name``, a
-# label ``<d, ..., d>`` or exponent ``{d, ..., d}`` (whitespace inside, its
-# closer or entries possibly missing), a line break or one punctuation character
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[<{][\d,]*(?:[^\S\n]+[\d,]+)*(?:[^\S\n]*[>}])?"
-                       r"|\d+|[>}()\[\]:,+\-*/\n]")
-_PIECE_RE = re.compile(r"\d+|\S")  # the pieces of a label token
+# --------------------------------------------------------------------------
+# parser
+
+
+# a token is an ASCII ``name``, a well-formed label ``<d, ..., d>`` or
+# exponent ``{d, ..., d}`` (whitespace but no line break inside), an ``int``
+# (``\d``, so any decimal digit), a line break or one punctuation character;
+# any other label is read as its pieces
+_LABEL = r"{o}[^\S\n]*\d+(?:[^\S\n]*,[^\S\n]*\d+)*[^\S\n]*{c}"
+_TOKEN_RE = re.compile("|".join([r"[A-Za-z_][A-Za-z0-9_]*", _LABEL.format(o="<", c=">"),
+                                 _LABEL.format(o="{", c="}"), r"\d+|[<>{}()\[\]:,+\-*/\n]"]))
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_<>{}()\[\]:,+\-*/]")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _KINDS = {"int": str.isdecimal, "name": str.isidentifier}
@@ -82,11 +103,13 @@ class _Parser:
         # a comment runs to the end of its line, so dropping it moves no
         # token's line or column
         self.text = text = _COMMENT_RE.sub("", text)
-        self.origin, self.sig, self.pos = (line, col), sig, 0
+        self.origin = (line, col)
         bad = _BAD_RE.search(text)
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", *self._at(bad.start()))
         self.tokens = [tok for tok in _TOKEN_RE.findall(text) if lines or tok != "\n"] + ["\n"]
+        self.sig = sig  # None until a presentation's header has been read
+        self.pos = 0
 
     # -- token plumbing --
 
@@ -180,7 +203,7 @@ class _Parser:
         if not self.tokens[self.pos].isidentifier():
             self._fail("expected a generator")
         self.pos += 1
-        return [(1, Leaf(self._gen(self.pos - 1), self.sig.zero_exp()))]
+        return [(1, Leaf(self._gen(self.pos - 1), (0,) * self.sig.n))]
 
     def parse_product(self) -> LinComb:
         """A chain ``a<m1> b<m2> c``, read in one loop and associated to the right."""
@@ -213,21 +236,18 @@ class _Parser:
 
     def parse_label(self, n: int) -> MultiIndex:
         """A label ``<m>`` or exponent ``{m}`` of ``n`` entries: one token when
-        whole, else (malformed, or broken by a line break) read piece by piece."""
+        well formed, else an opener followed by the label's pieces."""
         tok = self.tokens[self.pos]
-        close = ">" if tok[0] == "<" else "}"
-        if tok[-1] == close:
-            try:
-                m = tuple(map(int, tok[1:-1].split(",")))
-            except ValueError:  # an entry is empty or holds a space
-                m = ()
-            if len(m) == n:
-                self.pos += 1
-                return m
-        self.tokens[self.pos:self.pos + 1] = _PIECE_RE.findall(tok)
-        self.pos += 1  # the opener
-        m = self.parse_index_list(n)
-        self._expect(close)
+        self.pos += 1
+        if len(tok) == 1:
+            m = self.parse_index_list(n)
+            self._expect(">" if tok == "<" else "}")
+            return m
+        m = tuple(map(int, tok[1:-1].split(",")))
+        if len(m) != n:  # the error the pieces would give, at the first entry
+            line, col = self._where(self.pos - 1)
+            col += len(tok) - len(tok[1:].lstrip())
+            raise ParseError(f"index arity {len(m)} does not match n = {n}", line, col)
         return m
 
     def parse_index_list(self, n: int) -> MultiIndex:
@@ -240,7 +260,8 @@ class _Parser:
         return tuple(entries)
 
     def _gen(self, k: int) -> int:
-        """The generator that token ``k`` names (a ``name``) or indexes (an ``int``)."""
+        """The generator that token ``k``, a ``name`` or an ``int``, names or
+        indexes."""
         tok, gens = self.tokens[k], self.sig.generators
         if tok in gens:  # a name, as no name is decimal
             return gens.index(tok)
@@ -251,7 +272,8 @@ class _Parser:
     # -- presentation entries --
 
     def parse_list(self, kind: str) -> list[int]:
-        """The positions of a whole ``[item, ...]`` value's items, of ``kind``."""
+        """The positions of a whole ``[item, ...]`` header value's items,
+        tokens of ``kind``."""
         self._expect("[")
         items: list[int] = []
         while not items or self._accept(","):
@@ -269,14 +291,18 @@ class _Parser:
         if block == "lie":
             if key != "bracket":
                 self._fail("lie entries must look like 'bracket(i, j): value'", self.pos - 1)
-            for kinds in (("(",), ("name", "int"), (",",), ("name", "int"), (")",)):
-                self._expect(*kinds)
+            self._expect("(")
+            self._expect("name", "int")
+            self._expect(",")
+            self._expect("name", "int")
+            self._expect(")")
         if not self._accept(":"):
             self._fail("expected 'key: value'")
         return key
 
 
-def parse_expression(sig: AlgebraSignature, text: str, line: int = 1, col: int = 1) -> LinComb:
+def parse_expression(sig: AlgebraSignature, text: str,
+                     line: int = 1, col: int = 1) -> LinComb:
     """Parse a linear combination of labelled products over ``sig``."""
     return _Parser(text, line, col, sig).parse_sum()
 
@@ -290,6 +316,10 @@ def parse_index(text: str, n: int) -> MultiIndex:
         parser._expect("]")
     parser.expect_end()
     return m
+
+
+# --------------------------------------------------------------------------
+# canonical printing
 
 
 def format_index(m: Sequence[int]) -> str:
@@ -345,6 +375,10 @@ def format_gen_combo(sig: AlgebraSignature, entries) -> str:
     return _signed_sum(((c, sig.generators[k]) for k, c in entries), "*")
 
 
+# --------------------------------------------------------------------------
+# presentation files
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A parsed presentation file: signature, named relations, bracket table."""
@@ -355,8 +389,12 @@ class Presentation:
 
     def canonical(self) -> str:
         sig = self.signature
-        lines = ["algebra", f"  n: {sig.n}", f"  locality: [{', '.join(map(str, sig.locality))}]",
-                 f"  generators: [{', '.join(sig.generators)}]"]
+        lines = [
+            "algebra",
+            f"  n: {sig.n}",
+            f"  locality: [{', '.join(str(b) for b in sig.locality)}]",
+            f"  generators: [{', '.join(sig.generators)}]",
+        ]
         if self.relations:
             lines += ["", "relations"]
             for name, comb in self.relations:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import le
@@ -162,13 +161,10 @@ class Rule:
 
 
 def _rule(p: ConfPoly) -> Rule:
-    """The rule of ``p`` made monic, its leading term found once."""
     if p.is_zero():
         raise ValueError("rewriting systems hold nonzero polynomials only")
-    lead, lc = p.leading_term()
-    if lc != 1:
-        p = ConfPoly({w: c / Fraction(lc) for w, c in p.terms.items()})  # whole ones as int
-    return Rule(p, lead, p.is_dfree())
+    p = p.monic()
+    return Rule(p, p.leading_word(), p.is_dfree())
 
 
 class _LeadIndex:

@@ -1043,9 +1043,9 @@ def test_labels_with_whitespace_or_comments_read_as_the_compact_forms(spaced):
 
 @pytest.mark.parametrize("name, count", [("golden_basis.alg", 59), ("idempotent33_basis.alg", 202)])
 def test_a_label_is_one_token(name, count):
-    """The tokenizer's work counter: each label is one token, so the 11
-    labels of golden_basis.alg (55 of idempotent33_basis.alg) are no longer
-    55 tokens (275), one per character."""
+    """The tokenizer's work counter: each of the 11 labels of
+    golden_basis.alg (55 of idempotent33_basis.alg) is one token, not one
+    per character."""
     text = (_DATA_DIR / name).read_text(encoding="utf-8")
     tokens = parsing._Parser(text, lines=True).tokens
     assert len(tokens) - tokens.count("\n") == count

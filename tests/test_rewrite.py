@@ -269,23 +269,6 @@ def test_trace_records_keep_their_fields_repr_and_equality():
     assert ReductionTrace(trace.steps).replay(sys_f) == ConfPoly.from_word(w((0, 0), (0, 0))) - mono()
 
 
-def test_rule_finds_the_lead_once_and_is_monic(monkeypatch):
-    # a non-monic element: scaled so its lead has coefficient 1, whole
-    # coefficients kept as int, the lead taken from one pass over the terms
-    calls = []
-    leading_term = ConfPoly.leading_term
-    monkeypatch.setattr(ConfPoly, "leading_term", lambda p: calls.append(p) or leading_term(p))
-    p = mono((0, 0), c=2) - mono(c=4) + mono((1, 0), c=Fraction(1, 3))
-    rule = _rule(p)
-    monkeypatch.undo()
-    assert len(calls) == 1
-    assert rule.lead == w((1, 0)) and rule.dfree
-    assert rule.poly == p.monic()
-    assert [type(c) for _, c in rule.poly] == [int, int, int]
-    assert dict(rule.poly.terms) == {w((1, 0)): 1, w((0, 0)): 6, w(): -12}
-    assert _rule(mono((0, 0))).poly.terms == {w((0, 0)): 1}
-
-
 def random_poly(rng):
     terms = ConfPoly.zero()
     for _ in range(rng.randrange(1, 5)):
