@@ -162,7 +162,8 @@ class Engine:
             out = self.mul_prefix_poly(g, m, self.derive_word(t, rest))
             if m[t]:
                 dropped = index_sub(m, unit_index(self.sig.n, t))
-                out.terms[NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)] = -m[t]
+                x = NormalWord(((g, dropped),) + rest_links, w.tail, w.taild)
+                out.terms[self._intern(x, x)] = -m[t]
         if self.check:
             length, grades, _ = self._word_facts(w)
             self._audit(out, length, tuple(g - (r == t) for r, g in enumerate(grades)),

@@ -229,7 +229,7 @@ def half_pbw_check(L: LieConformalSpec, engine: Engine | None = None) -> HalfPBW
     D-free a remainder is not proof of an invalid table (see HalfPBWReport).
     """
     system = enveloping_presentation(L, engine)
-    sig, z = L.signature, L.signature.zero_exp()
+    sig, z = L.signature, zero_index(L.signature.n)
     rule = {r.lead: e for e, r in enumerate(system.rules)}
     labels = list(product(iter_box(sig.locality), repeat=2))
     checked, failures = 0, []

@@ -1,4 +1,4 @@
-"""Concrete syntax: expression parsing, canonical printing, presentation files.
+"""Concrete syntax: expression parsing, normal-form printing, presentation files.
 
 Expressions use angle-bracket products and brace derivation prefixes::
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .indices import MultiIndex
 from .words import (
@@ -319,7 +319,7 @@ def parse_index(text: str, n: int) -> MultiIndex:
 
 
 # --------------------------------------------------------------------------
-# canonical printing
+# normal-form printing
 
 
 def format_index(m: Sequence[int]) -> str:
@@ -335,44 +335,18 @@ def format_word(sig: AlgebraSignature, w: NormalWord) -> str:
     return " ".join(parts)
 
 
-def _signed_sum(terms: Iterable[tuple[Coeff, str]], sep: str = " ") -> str:
-    """``c1 t1 - c2 t2 + ...`` over ``(coefficient, text)`` pairs, zero
-    terms dropped and unit magnitudes left out; ``sep`` joins a magnitude to
-    its text, and an empty sum prints ``0``."""
+def format_polynomial(sig: AlgebraSignature, p: ConfPoly) -> str:
+    """Canonical text: terms strictly descending, reduced rational
+    coefficients, zero terms and unit magnitudes left out; ``0`` if empty."""
     out = []
-    for coeff, body in terms:
+    for w, coeff in p.items_desc():
         if coeff:
-            mag = abs(coeff)
-            out += (" - " if coeff < 0 else " + ", body if mag == 1 else f"{mag}{sep}{body}")
+            mag, body = abs(coeff), format_word(sig, w)
+            out += (" - " if coeff < 0 else " + ", body if mag == 1 else f"{mag} {body}")
     if not out:
         return "0"
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
-
-
-def format_polynomial(sig: AlgebraSignature, p: ConfPoly) -> str:
-    """Canonical text: terms strictly descending, reduced rational coefficients."""
-    return _signed_sum((c, format_word(sig, w)) for w, c in p.items_desc())
-
-
-def _format_tree(sig: AlgebraSignature, tree: ExprTree) -> str:
-    if isinstance(tree, Leaf):
-        return format_word(sig, NormalWord((), tree.gen, tree.dexp))
-    left = _format_tree(sig, tree.left)
-    if isinstance(tree.left, Node):
-        left = f"({left})"
-    right = _format_tree(sig, tree.right)
-    return f"{left}<{format_index(tree.label)}> {right}"
-
-
-def format_lincomb(sig: AlgebraSignature, comb) -> str:
-    """Canonical text for a parsed (unnormalized) linear combination."""
-    return _signed_sum((c, _format_tree(sig, tree)) for c, tree in comb)
-
-
-def format_gen_combo(sig: AlgebraSignature, entries) -> str:
-    """Canonical text for a bracket value: ``2*e - h`` over generators."""
-    return _signed_sum(((c, sig.generators[k]) for k, c in entries), "*")
 
 
 # --------------------------------------------------------------------------
@@ -386,25 +360,6 @@ class Presentation:
     signature: AlgebraSignature
     relations: tuple[tuple[str, tuple[tuple[Coeff, ExprTree], ...]], ...]
     brackets: Optional[tuple[tuple[tuple[int, int], tuple[tuple[int, Coeff], ...]], ...]]
-
-    def canonical(self) -> str:
-        sig = self.signature
-        lines = [
-            "algebra",
-            f"  n: {sig.n}",
-            f"  locality: [{', '.join(str(b) for b in sig.locality)}]",
-            f"  generators: [{', '.join(sig.generators)}]",
-        ]
-        if self.relations:
-            lines += ["", "relations"]
-            for name, comb in self.relations:
-                lines.append(f"  {name}: {format_lincomb(sig, comb)}")
-        if self.brackets is not None:
-            lines += ["", "lie"]
-            for (i, j), entries in self.brackets:
-                key = f"bracket({sig.generators[i]}, {sig.generators[j]})"
-                lines.append(f"  {key}: {format_gen_combo(sig, entries)}")
-        return "\n".join(lines) + "\n"
 
 
 _BLOCKS = ("algebra", "relations", "lie")

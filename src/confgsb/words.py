@@ -58,9 +58,6 @@ class AlgebraSignature:
     def is_valid(self, m: MultiIndex) -> bool:
         return tuple(m) in self.labels
 
-    def zero_exp(self) -> MultiIndex:
-        return zero_index(self.n)
-
 
 class NormalWord(NamedTuple):
     """Immutable normal word; generators are stored as signature indices."""

@@ -757,9 +757,10 @@ def test_memo_sizes():
     e.derive_word(0, word2((1, 1), (0, 1)))
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
     # the dodge takes one level: its terms prepend onto mul_prefix results
-    # and take no mul_prefix_poly entries or rows of their own
+    # and take no mul_prefix_poly entries or rows of their own; the
+    # derivative interns its prepend and its lowered-label term
     assert e.memo_sizes() == {"prefix": 15, "words": 1, "derive": 3,
-                              "weights": 5, "intern": 3, "facts": 12}
+                              "weights": 5, "intern": 4, "facts": 12}
     # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
     plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))
@@ -795,6 +796,12 @@ def test_prepended_words_are_interned():
     [x], [y] = once.terms, again.terms
     assert x == ab and x is y
     assert e.memo_sizes()["intern"] == 1
+    # a derivative's term under the lowered label is interned too: D_0 of
+    # a<1,0> a holds -a<0,0> a, the word that mul_prefix interns
+    [low] = e.mul_prefix(0, (0, 0), word2()).terms
+    derived = e.derive_word(0, word2((1, 0))).terms
+    assert derived[low] == -1 and any(z is low for z in derived)
+    assert e.memo_sizes()["intern"] == 3
 
 
 # --- the product kernel against its per-s reference ---------------------------

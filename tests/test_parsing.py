@@ -1,4 +1,4 @@
-"""Grammar round trips: expressions, canonical printing, presentation files."""
+"""Grammar round trips: expressions, normal-form printing, presentation files."""
 
 import random
 import re
@@ -14,16 +14,14 @@ from confgsb.engine import Engine
 from confgsb.parsing import (
     ParseError,
     Presentation,
-    format_gen_combo,
     format_index,
-    format_lincomb,
     format_polynomial,
     format_word,
     parse_expression,
     parse_index,
     parse_presentation,
 )
-from confgsb.indices import MultiIndex
+from confgsb.indices import MultiIndex, zero_index
 from confgsb.words import AlgebraSignature, ConfPoly, Leaf, LinComb, Node, NormalWord
 
 SIG = AlgebraSignature(2, (2, 2), ("a",))
@@ -154,7 +152,7 @@ def test_parse_index_forms():
         assert fragment in str(info.value)
 
 
-# --- canonical printing -------------------------------------------------------
+# --- normal-form printing -----------------------------------------------------
 
 
 def test_format_polynomial_frozen():
@@ -179,29 +177,6 @@ def test_format_word_tail_derivation():
     w = NormalWord(((0, (1, 1)),), 1, (0, 1))
     assert format_word(SIG2, w) == "a<1,1> D{0,1} b"
     assert format_index((2, 0)) == "2,0"
-
-
-def test_format_lincomb_parenthesizes_left_nesting():
-    comb = parse_expression(SIG, "(a<1,0> a)<1,0> a - 2 a<0,0> a<1,0> a")
-    text = format_lincomb(SIG, comb)
-    assert text == "(a<1,0> a)<1,0> a - 2 a<0,0> a<1,0> a"
-    assert parse_expression(SIG, text) == comb
-    aa = Node(A, (0, 0), A)
-    mixed = [(Fraction(0), A), (Fraction(-1, 2), aa), (Fraction(0), aa), (Fraction(-2), A)]
-    assert format_lincomb(SIG, mixed) == "-1/2 a<0,0> a - 2 a"
-    assert format_lincomb(SIG, [(Fraction(0), A), (Fraction(0), aa)]) == "0"
-    assert format_lincomb(SIG, []) == "0"
-
-
-def test_format_gen_combo():
-    sig = AlgebraSignature(2, (1, 1), ("f", "h", "e"))
-    assert format_gen_combo(sig, ((0, Fraction(-2)),)) == "-2*f"
-    assert format_gen_combo(sig, ((1, Fraction(1)), (2, Fraction(1, 2)))) == "h + 1/2*e"
-    assert format_gen_combo(sig, ()) == "0"
-    assert format_gen_combo(sig, ((1, Fraction(1)), (2, Fraction(-2)))) == "h - 2*e"
-    assert format_gen_combo(sig, ((0, Fraction(0)), (1, Fraction(-1, 3)),
-                                  (2, Fraction(-1)))) == "-1/3*h - e"
-    assert format_gen_combo(sig, ((0, Fraction(0)), (2, Fraction(0)))) == "0"
 
 
 # --- property: print-then-parse returns the polynomial -------------------------
@@ -283,21 +258,13 @@ def test_parse_presentation_lie_block():
     )
 
 
-def test_presentation_canonical_round_trip():
-    for src in (GOLDEN_FILE, SL2_FILE):
-        canon = parse_presentation(src).canonical()
-        assert parse_presentation(canon).canonical() == canon
-
-
-def test_presentation_canonical_round_trip_with_derived_leaves():
-    # a derived leaf prints as format_word prints a length-1 word
+def test_a_parenthesized_derived_leaf_reads_as_the_bare_one():
+    # a derivation prefix binds to the generator after it, so parentheses
+    # around a derived leaf on the left of a product change nothing
     src = ("algebra\n  n: 2\n  locality: [2, 2]\n  generators: [a]\n\nrelations\n"
-           "  r: a<0,0> D{1,0} a - 2 D{1,0} a + (D{0,1} a)<1,0> a\n")
-    canon = parse_presentation(src).canonical()
-    assert canon.endswith("  r: a<0,0> D{1,0} a - 2 D{1,0} a + D{0,1} a<1,0> a\n")
-    again = parse_presentation(canon)
-    assert again == parse_presentation(src)
-    assert again.canonical() == canon
+           "  r: a<0,0> D{1,0} a - 2 D{1,0} a + LEFT<1,0> a\n")
+    assert (parse_presentation(src.replace("LEFT", "(D{0,1} a)"))
+            == parse_presentation(src.replace("LEFT", "D{0,1} a")))
 
 
 def test_presentation_bracket_value_zero_and_indices():
@@ -553,7 +520,7 @@ class _Parser:
         tok = self._accept("name")
         if tok is None:
             self._fail("expected a generator")
-        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+        return [(Fraction(1), Leaf(self._gen(tok), zero_index(self.sig.n)))]
 
     def parse_product(self) -> LinComb:
         left = self.parse_atom()
@@ -583,7 +550,7 @@ class _Parser:
             if gen_tok is None:
                 self._fail("derivation prefix requires a generator")
             return [(Fraction(1), Leaf(self._gen(gen_tok), dexp))]
-        return [(Fraction(1), Leaf(self._gen(tok), self.sig.zero_exp()))]
+        return [(Fraction(1), Leaf(self._gen(tok), zero_index(self.sig.n)))]
 
     def parse_index_list(self, n: int) -> MultiIndex:
         open_tok = self._peek()
@@ -911,8 +878,7 @@ def test_presentation_matches_reference_on_mutations(src):
             want = _reference_parse_presentation(re.sub(r"bracket\s+\(", "bracket(", text))
         if isinstance(want, Presentation):
             assert isinstance(got, Presentation), (text, got)
-            assert got.canonical() == want.canonical()
-            assert (got.relations, got.brackets) == (want.relations, want.brackets)
+            assert got == want, text
             parsed += 1
         else:
             assert isinstance(got, ParseError), (text, want)
@@ -944,8 +910,8 @@ def _same_outcome(got, want, what):
 @pytest.mark.parametrize("name", sorted(p.name for p in _DATA_DIR.glob("*.alg")) + ["both"])
 def test_presentation_matches_token_parser_on_mutations(name):
     """One- and two-character mutations of every benchmark file parse to the
-    token-tuple parser's presentation and canonical text, or raise its error
-    text, line and column, save the two header errors that now name a column."""
+    token-tuple parser's presentation, or raise its error text, line and
+    column, save the two header errors that now name a column."""
     src = BOTH_FILE if name == "both" else (_DATA_DIR / name).read_text(encoding="utf-8")
     rng = random.Random(name)
     parsed = failed = 0
@@ -957,7 +923,7 @@ def test_presentation_matches_token_parser_on_mutations(name):
         want = _outcome(_token_parse_presentation, text)
         if isinstance(want, Presentation):
             assert isinstance(got, Presentation), (text, got)
-            assert got == want and got.canonical() == want.canonical(), text
+            assert got == want, text
             for (_, comb), (_, ref) in zip(got.relations, want.relations):
                 _same_outcome(list(comb), list(ref), text)
             parsed += 1

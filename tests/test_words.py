@@ -215,6 +215,14 @@ def test_poly_iteration_is_descending():
     assert seen == sorted(words, key=NormalWord.weight_key, reverse=True)
 
 
+def test_poly_repr_is_pinned():
+    # terms descending, each coefficient before its word's links, tail and
+    # tail exponent; a Fraction prints reduced and keeps its sign
+    assert repr(ConfPoly.zero()) == "ConfPoly(0)"
+    p = ConfPoly({w((0, (1, 0)), tail=1): Fraction(-3, 2), single_word(0, 2, (0, 1)): 2})
+    assert repr(p) == "ConfPoly(-3/2*((0, (1, 0)),)|1|(0, 0) + 2*()|0|(0, 1))"
+
+
 def test_poly_dfree():
     u = single_word(0, 2)
     d = single_word(0, 2, (1, 0))
