@@ -4,7 +4,8 @@ Every command takes a presentation file (see :mod:`confgsb.parsing` for the
 grammar) plus arguments, and writes deterministic text — or JSON with
 ``--json`` — to stdout.  ``--quiet`` suppresses stdout entirely (exit codes
 still carry the verdicts).  Exit codes: 0 success, 2 "not a basis" from
-``check``, 64 usage error, 65 unreadable or invalid input.
+``check``, 64 usage error, 65 unreadable or invalid input, or input beyond
+the recursion limit.
 
 One presentation load and one :class:`Engine` serve each invocation: ``main``
 reads the file and builds the engine, then calls the subcommand's handler
@@ -357,6 +358,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, result, lines, trace = args.run(args, pres, sig, Engine(sig))
     except (ParseError, _DataError) as exc:
         print(f"confgsb: error: {exc}", file=sys.stderr)
+        return EX_DATA
+    except RecursionError:
+        print(f"confgsb: error: input beyond the recursion limit of "
+              f"{sys.getrecursionlimit()} frames", file=sys.stderr)
         return EX_DATA
     if args.quiet:
         return code

@@ -3,8 +3,10 @@
 Everything here reduces bracketed products of (possibly derived) generators
 to the canonical right-normed basis: words with valid labels and a trailing
 derivation exponent.  Unlike the reference evaluator in naive.py, the engine
-uses closed forms — falling-factorial products for derived left operands and
-a "dodge" that trades an invalid label against the head pair of the right
+uses closed forms — falling-factorial products for derived left operands,
+the binomial sum gen⟨m⟩(D^i b) = Σ_s C(i,s) (m)_s D^(i−s)(gen⟨m−s⟩b) over
+the s with m − s valid for a derived generator under an invalid label, and a
+"dodge" that trades an invalid label against the head pair of the right
 operand in one level:
 
     gen⟨m⟩(b⟨m′⟩v) = Σ_u W(m,u) · gen⟨m−u⟩(b⟨m′+u⟩v),  W(m,u) = Π_t w_t(m_t,u_t)
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb, prod
-from operator import add
+from operator import add, sub
 
 from .indices import (
     MultiIndex,
@@ -200,18 +202,15 @@ class Engine:
             return hit
         self._check_index("label", m)
         if w.length == 1:
-            if w.is_dfree():
-                out = ConfPoly.zero()  # two generators under an invalid label
-            else:
-                # move one derivation across the product:
-                # g⟨m⟩(D_t y) = D_t(g⟨m⟩y) + m_t · g⟨m−e_t⟩y
-                t = next(k for k, c in enumerate(w.taild) if c)
-                e_t = unit_index(self.sig.n, t)
-                y = NormalWord((), w.tail, index_sub(w.taild, e_t))
-                out = self.derive(t, self.mul_prefix(gen, m, y))
-                if m[t]:
-                    # derive() built a fresh dict, which nothing else holds yet
-                    accumulate(out.terms, self.mul_prefix(gen, index_sub(m, e_t), y).terms, m[t])
+            # the binomial sum, empty for a D-free b: gen⟨k⟩b vanishes for invalid k
+            i, terms = w.taild, {}
+            b = NormalWord((), w.tail, zero_index(self.sig.n))
+            for s in product(*(range(max(0, mt - bound + 1), min(it, mt) + 1)
+                               for mt, bound, it in zip(m, self.sig.locality, i))):
+                head = self.mul_prefix(gen, tuple(map(sub, m, s)), b)
+                c = prod(comb(it, st) * falling_factorial(mt, st) for it, st, mt in zip(i, s, m))
+                accumulate(terms, self.derive_multi(tuple(map(sub, i, s)), head).terms, c)
+            out = ConfPoly._raw(terms)
         else:
             # invalid label against a longer word: gen⟨m⟩(head generator)
             # vanishes, and solving the expansions of such zero products

@@ -445,14 +445,10 @@ class RewriteSystem:
                     yield CompositionTask(size, w, KIND_RANK[RIGHT_MUL], i, g, m=m)
 
     def all_tasks(self) -> list[CompositionTask]:
-        """Every composition task: the overlap tasks by (i, j, kind, -size, pos),
-        then the multiplication tasks of each element in turn."""
-        overlaps, products = [], []
-        for k in range(len(self)):
-            for task in chain(self._inclusion_entries(k), self._extension_entries(k)):
-                (overlaps if task.rank < KIND_RANK[LEFT_MUL] else products).append(task)
-        overlaps.sort(key=lambda t: (t.i, t.j, t.rank, -t.size, t.pos))
-        return overlaps + products
+        """Every composition task, in ``CompositionTask`` order: the order in
+        which ``complete`` pops them before it appends anything."""
+        return sorted(task for k in range(len(self)) for task in
+                      chain(self._inclusion_entries(k), self._extension_entries(k)))
 
     # -- composition evaluation ----------------------------------------------
 

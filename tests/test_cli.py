@@ -382,6 +382,24 @@ def test_expression_errors_exit_65(golden, capsys, expr):
     assert err.startswith("confgsb: error: line 1, col ")
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "a" + ")" * 400,  # the parser recurses per parenthesis
+    "a<2,0> (" + "a<1,1> " * 1500 + "a)",  # the dodge recurses per link
+], ids=["400-parentheses", "1500-links"])
+def test_input_beyond_the_recursion_limit_exits_65(golden, capsys, expr):
+    code, out, err = run(capsys, "normalize", golden, expr)
+    assert (code, out) == (65, "")
+    assert err == (f"confgsb: error: input beyond the recursion limit of "
+                   f"{sys.getrecursionlimit()} frames\n")
+
+
+@pytest.mark.parametrize("d", [1000, 5000])
+def test_long_derivation_under_an_invalid_label_exits_0(golden, capsys, d):
+    code, out, err = run(capsys, "normalize", golden, f"a<2,0> D{{{d},0}} a")
+    assert (code, err) == (0, "")
+    assert out == f"{2 * d} a<1,0> D{{{d - 1},0}} a - {d * (d - 1)} a<0,0> D{{{d - 2},0}} a\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("algebra\n  n: 2\n", "algebra block must define 'locality'"),
     ("algebra\n  n: 2\n  locality: [2, 0]\n  generators: [a]\n",

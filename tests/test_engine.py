@@ -107,6 +107,39 @@ def test_mul_prefix_against_derived_tail():
     assert e.mul_prefix(0, (3, 0), da).is_zero()
 
 
+# the signatures of the normalize benchmark workload, n = 1, 2 and 3
+_WORKLOAD_SIGNATURES = [AlgebraSignature(len(loc), loc, gens) for loc, gens in (
+    ((2,), ("a", "b")), ((3,), ("a", "b")), ((1, 2), ("a", "b")), ((2, 2), ("a",)),
+    ((2, 2), ("a", "b")), ((1, 1, 1), ("a", "b")), ((2, 1, 1), ("a", "b")), ((1, 2, 2), ("a",)))]
+
+
+@pytest.mark.parametrize("sig", _WORKLOAD_SIGNATURES,
+                         ids=lambda s: f"{s.locality}x{len(s.generators)}")
+def test_derived_tail_products_match_naive_on_a_grid(sig):
+    # every g<m>(D^i b) with labels up to 2N - 1 and exponents up to 4 per
+    # coordinate: the engine's one-level binomial sum against the oracle's
+    # one derivation per step, plain and audited
+    plain, audited = engine(sig), engine(sig, check=True)
+    zero, ngens = (0,) * sig.n, len(sig.generators)
+    labels = list(itertools.product(*(range(2 * bound) for bound in sig.locality)))
+    for g, b in itertools.product(range(ngens), repeat=2):
+        for m, i in itertools.product(labels, itertools.product(range(5), repeat=sig.n)):
+            comb = [(1, Node(Leaf(g, zero), m, Leaf(b, i)))]
+            want = naive_normalize(sig, comb)
+            assert plain.normalize(comb).terms == want, (g, m, b, i)
+            assert audited.normalize(comb).terms == want, (g, m, b, i)
+    assert audited.invariant_checks > 0
+
+
+@pytest.mark.parametrize("d", [1000, 5000])
+def test_derived_tail_product_takes_no_recursion_per_derivation(d):
+    # a<2,0> D{d,0} a = 2d a<1,0> D{d-1,0} a - d(d-1) a<0,0> D{d-2,0} a,
+    # with d far past the interpreter's recursion limit
+    got = eng(check=False).mul_prefix(0, (2, 0), single_word(0, 2, (d, 0)))
+    assert got == poly((2 * d, word2((1, 0), taild=(d - 1, 0))),
+                       (-d * (d - 1), word2((0, 0), taild=(d - 2, 0))))
+
+
 def test_mul_words_derived_left_operand():
     e = eng()
     da = single_word(0, 2, (1, 0))
@@ -758,9 +791,11 @@ def test_memo_sizes():
     e.mul_prefix(0, (2, 0), single_word(0, 2, (1, 1)))
     # the dodge takes one level: its terms prepend onto mul_prefix results
     # and take no mul_prefix_poly entries or rows of their own; the
-    # derivative interns its prepend and its lowered-label term
-    assert e.memo_sizes() == {"prefix": 15, "words": 1, "derive": 3,
-                              "weights": 5, "intern": 4, "facts": 12}
+    # derivative interns its prepend and its lowered-label term; a derived
+    # tail under an invalid label takes one level too: one prefix entry,
+    # whose term D{0,1}(a<1,0> a) takes derive entries and is interned
+    assert e.memo_sizes() == {"prefix": 14, "words": 1, "derive": 5,
+                              "weights": 5, "intern": 5, "facts": 12}
     # with cache=False no table grows, whatever path the products take
     plain = eng(cache=False)
     plain.mul_words(word2((1, 1)), (2, 1), word2((1, 0)))

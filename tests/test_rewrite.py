@@ -975,7 +975,8 @@ def _push_for_by_pairs(system, k):
 
 
 def _all_tasks_by_pairs(system):
-    """Reference ``all_tasks``: every ordered pair in turn, then the products."""
+    """Reference ``all_tasks``: every ordered pair in turn, then the products
+    (``all_tasks`` lists the same tasks in queue order)."""
     size = range(len(system))
     return ([t for i in size for j in size for t in overlap_tasks(system, i, j)]
             + [t for i in size for t in multiplication_tasks(system, i)])
@@ -1050,13 +1051,13 @@ def _assert_unique_keys(entries):
 
 def _assert_entries_match_pairs(system):
     """The generator gives the per-pair loop's tasks, each once, under
-    unique heap keys; ``all_tasks`` keeps the per-pair order."""
+    unique heap keys; ``all_tasks`` lists them in queue order."""
     entries = [entry for k in range(len(system))
                for entry in itertools.chain(system._inclusion_entries(k),
                                             system._extension_entries(k))]
     reference = [t for k in range(len(system)) for t in _push_for_by_pairs(system, k)]
     assert Counter(map(CompositionTask._make, entries)) == Counter(reference)
-    assert system.all_tasks() == _all_tasks_by_pairs(system)
+    assert system.all_tasks() == sorted(_all_tasks_by_pairs(system))
     return _assert_unique_keys(entries), {t.kind for t in reference}
 
 
